@@ -580,7 +580,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-batch-size", type=int, default=64,
                        help="micro-batch dispatch threshold (default: 64)")
     serve.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="micro-batch collection window (default: 2ms)")
+                       help="upper bound on the micro-batch collection "
+                            "window, which opens only while requests are "
+                            "queued (default: 2ms)")
     serve.add_argument("--cache-size", type=int, default=1024,
                        help="LRU estimate-cache capacity, 0 disables "
                             "(default: 1024)")

@@ -114,6 +114,7 @@ class ConjunctiveEncoding(Featurizer):
         widths = self._counts + self._segment_extra
         self._seg_offsets = np.concatenate(
             ([0], np.cumsum(widths)[:-1]))
+        self._feature_length = int(widths.sum())
 
     def get_config(self) -> dict:
         return {"max_partitions": self._max_partitions,
@@ -144,8 +145,7 @@ class ConjunctiveEncoding(Featurizer):
     @property
     def feature_length(self) -> int:
         """Dimension of the produced feature vectors."""
-        return sum(self._partition_counts[a] + self._segment_extra
-                   for a in self.attributes)
+        return self._feature_length
 
     def attribute_slices(self) -> dict[str, slice]:
         """Map each attribute to its segment of the feature vector."""

@@ -9,6 +9,16 @@ are collected for at most ``max_wait_ms`` (or until ``max_batch_size``
 are waiting) and dispatched through ``estimate_batch`` as one batch,
 with each caller receiving its own future.
 
+The window is adaptive, in the style of Clipper (NSDI 2017): it stays
+open only while other requests are queued behind the first one.  A
+request that finds the batcher idle dispatches at once, so a lone
+caller never pays the window; under load the queue fills while a batch
+executes and the next batch collects it.  A caller that waits on its
+future at once can skip the worker altogether with
+:meth:`MicroBatcher.run_if_idle`: a request that finds no other request
+in flight has nothing to share a batch with, and the hop to the worker
+and back would only add two thread wake-ups to its latency.
+
 Correctness contract: batch featurization is bitwise-identical to the
 scalar path (PR 2's equivalence gate) and the models predict row-wise,
 so a request's result does not depend on which batch it happened to
@@ -21,16 +31,16 @@ spans and records every dispatched batch size into the
 
 from __future__ import annotations
 
+import itertools
 import queue
 import threading
 import time
 from concurrent.futures import Future
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.sql.ast import Query
 
 __all__ = ["MicroBatcher", "BatcherClosedError"]
 
@@ -40,7 +50,7 @@ class BatcherClosedError(RuntimeError):
 
 
 class _Request:
-    """One submitted query and the future its caller is waiting on.
+    """One submitted item and the future its caller is waiting on.
 
     ``trace_id`` carries the submitting request's trace context across
     the thread hop into the worker (the batch-execute span links every
@@ -49,10 +59,10 @@ class _Request:
     event to the batch that answered it.
     """
 
-    __slots__ = ("query", "future", "trace_id", "batch_id")
+    __slots__ = ("item", "future", "trace_id", "batch_id")
 
-    def __init__(self, query: Query, trace_id: int | None = None) -> None:
-        self.query = query
+    def __init__(self, item: Any, trace_id: int | None = None) -> None:
+        self.item = item
         self.future: Future = Future()
         self.trace_id = trace_id
         self.batch_id: int | None = None
@@ -68,22 +78,26 @@ class MicroBatcher:
     Parameters
     ----------
     estimate_batch:
-        The vectorized estimate function mapping a query sequence to a
-        numpy vector of estimates.  :class:`~repro.serve.server.EstimationService`
-        passes the fused hot path's ``estimate_batch``
-        (:class:`~repro.serve.fused.FusedEstimatePath`) when the
-        estimator supports it, or the estimator's own ``estimate_batch``
-        bound method otherwise — both are bitwise-equivalent, so the
-        batcher needs no knowledge of which one it drives.
+        The vectorized estimate function mapping a sequence of submitted
+        items to a numpy vector of estimates.
+        :class:`~repro.serve.server.EstimationService` submits
+        statements it has already validated and passes its execute
+        stage: the fused path's ``estimate_planned``
+        (:class:`~repro.serve.fused.FusedEstimatePath`) over prepared
+        statements, or the estimator's own ``estimate_batch`` over
+        bound queries.  The batcher needs no knowledge of which one it
+        drives.
     max_batch_size:
         Dispatch as soon as this many requests are waiting.
     max_wait_ms:
-        Dispatch at most this long after the first request of a batch
-        arrived, even if the batch is not full.  ``0`` dispatches
-        whatever is immediately available (no artificial latency).
+        Upper bound on the collection window: dispatch at most this
+        long after the first request of a batch was taken, even if the
+        batch is not full.  The window stays open only while other
+        requests are queued behind the first; an idle batcher
+        dispatches at once.  ``0`` dispatches every request alone.
     """
 
-    def __init__(self, estimate_batch: Callable[[Sequence[Query]], np.ndarray],
+    def __init__(self, estimate_batch: Callable[[Sequence[Any]], np.ndarray],
                  max_batch_size: int = 64, max_wait_ms: float = 2.0) -> None:
         if max_batch_size < 1:
             raise ValueError(
@@ -94,10 +108,12 @@ class MicroBatcher:
         self._max_batch_size = max_batch_size
         self._max_wait_seconds = max_wait_ms / 1000.0
         self._queue: queue.Queue = queue.Queue()
-        self._batch_seq = 0
+        self._batch_ids = itertools.count(1)
         self._closed = False
         self._drain_on_close = True
-        self._close_lock = threading.Lock()
+        # Guards _closed and _inflight (accepted, not yet executed).
+        self._lock = threading.Lock()
+        self._inflight = 0
         self._worker = threading.Thread(target=self._run,
                                         name="repro-serve-batcher",
                                         daemon=True)
@@ -110,36 +126,56 @@ class MicroBatcher:
 
     @property
     def max_wait_ms(self) -> float:
-        """Configured collection window in milliseconds."""
+        """Configured upper bound on the collection window (ms)."""
         return self._max_wait_seconds * 1000.0
 
-    def submit(self, query: Query) -> Future:
-        """Enqueue one query; returns the future carrying its estimate.
+    def submit(self, item: Any) -> Future:
+        """Enqueue one item; returns the future carrying its estimate.
 
         The future resolves to a ``float`` once the batch containing the
-        query executes, or raises whatever ``estimate_batch`` raised for
+        item executes, or raises whatever ``estimate_batch`` raised for
         that batch.  Raises :class:`BatcherClosedError` once the batcher
         has been closed — requests accepted *before* close are always
         drained, never dropped.
         """
-        return self.submit_request(query).future
+        return self.submit_request(item).future
 
-    def submit_request(self, query: Query,
+    def submit_request(self, item: Any,
                        trace_id: int | None = None) -> _Request:
-        """Enqueue one query; returns the full request handle.
+        """Enqueue one item; returns the full request handle.
 
         Like :meth:`submit` but exposes the :class:`_Request` itself:
         ``request.future`` carries the estimate and, once resolved,
-        ``request.batch_id`` identifies the dispatched batch the query
+        ``request.batch_id`` identifies the dispatched batch the item
         rode in.  ``trace_id`` joins the request's trace to that batch's
         execute span (a ``links`` span attribute).
         """
-        with self._close_lock:
+        with self._lock:
             if self._closed:
                 raise BatcherClosedError(
                     "batcher is closed; no new requests accepted")
-            request = _Request(query, trace_id=trace_id)
+            request = _Request(item, trace_id=trace_id)
+            self._inflight += 1
             self._queue.put(request)
+        return request
+
+    def run_if_idle(self, item: Any,
+                    trace_id: int | None = None) -> _Request | None:
+        """Execute one item now on the calling thread, if nothing else
+        is in flight; returns its resolved request handle.
+
+        Returns ``None`` (and does nothing) when another request is
+        queued or executing, or the batcher is closed: the caller then
+        submits the item with :meth:`submit_request`, so it can share
+        a batch.  Meant for a caller that would wait on the future at
+        once anyway.
+        """
+        with self._lock:
+            if self._closed or self._inflight:
+                return None
+            self._inflight += 1
+        request = _Request(item, trace_id=trace_id)
+        self._execute([request])
         return request
 
     def close(self, drain: bool = True) -> None:
@@ -150,10 +186,10 @@ class MicroBatcher:
         worker exits.  With ``drain=False`` pending requests' futures
         are cancelled instead.
         """
-        # The join happens outside the lock: holding _close_lock while
+        # The join happens outside the lock: holding _lock while
         # waiting for the worker would stall every submit() (and a
         # concurrent close()) for the full drain time.
-        with self._close_lock:
+        with self._lock:
             if not self._closed:
                 self._closed = True
                 self._drain_on_close = drain
@@ -192,24 +228,26 @@ class MicroBatcher:
             self._execute(batch)
 
     def _collect(self, batch: list) -> bool:
-        """Fill ``batch`` until full, the window expires, or shutdown.
+        """Fill ``batch`` until full, the queue is empty, the window
+        expires, or shutdown.
 
-        Returns ``True`` when the shutdown sentinel was consumed while
-        collecting (the caller executes the batch, then drains).
+        The window stays open only while other requests are waiting:
+        the batcher never waits for a request that has not arrived, so
+        an idle batcher dispatches at once.  Returns ``True`` when the
+        shutdown sentinel was consumed while collecting (the caller
+        executes the batch, then drains).
         """
         with obs.span("serve.batch.collect",
                       max_batch_size=self._max_batch_size) as sp:
             # Deadline arithmetic needs the raw monotonic clock: the
             # remaining-wait computation cannot ride an obs span.
             deadline = time.monotonic() + self._max_wait_seconds  # repro: ignore[RPR108]
-            while len(batch) < self._max_batch_size:
-                remaining = deadline - time.monotonic()  # repro: ignore[RPR108]
-                if remaining <= 0:
-                    break
-                try:
-                    item = self._queue.get(timeout=remaining)
-                except queue.Empty:
-                    break
+            # The worker is the only consumer, so a non-empty queue
+            # stays non-empty until it takes the item.
+            while (len(batch) < self._max_batch_size
+                   and not self._queue.empty()
+                   and time.monotonic() < deadline):  # repro: ignore[RPR108]
+                item = self._queue.get_nowait()
                 if item is _SHUTDOWN:
                     return True
                 batch.append(item)
@@ -227,24 +265,30 @@ class MicroBatcher:
         registry = obs.get_registry()
         registry.counter("serve.batches_total").inc()
         registry.histogram("serve.batch.size").record(len(batch))
-        self._batch_seq += 1
-        batch_id = self._batch_seq
+        batch_id = next(self._batch_ids)
         links = sorted({request.trace_id for request in batch
                         if request.trace_id is not None})
         for request in batch:
             request.batch_id = batch_id
-        queries = [request.query for request in batch]
+        items = [request.item for request in batch]
         try:
             with obs.span("serve.batch.execute", n_queries=len(batch),
                           metric="serve.batch.execute.seconds",
                           batch_id=batch_id, links=links):
-                estimates = self._estimate_batch(queries)
+                estimates = self._estimate_batch(items)
         except Exception as exc:  # repro: ignore[RPR103] — forwarded to futures
+            self._done(len(batch))
             for request in batch:
                 request.future.set_exception(exc)
             return
+        self._done(len(batch))
         for request, estimate in zip(batch, estimates):
             request.future.set_result(float(estimate))
+
+    def _done(self, count: int) -> None:
+        """Count ``count`` executed requests out of the in-flight total."""
+        with self._lock:
+            self._inflight -= count
 
     def _finish_shutdown(self) -> None:
         """Drain (or cancel) everything still queued after the sentinel."""

@@ -7,14 +7,16 @@ maps built on one locked core (:class:`_LruCache`):
   streams are heavily repetitive — the same dashboard, ORM, or prepared
   statement issues the same shapes over and over — and a cardinality
   estimate is a pure function of the query (Equation 4), so caching is
-  always sound.  The cache keys on the **canonical serialized query
-  form** (:func:`repro.workloads.serialization.canonical_query_text`),
-  which means a query hits the cache no matter which surface it arrived
-  through: an HTTP body, a workload file, or a generator.
+  always sound.  The cache keys on ``(fingerprint, literals)`` — the
+  pair :func:`repro.sql.parser.fingerprint_sql` returns — which the
+  request pipeline computes anyway, so a probe costs one dict lookup
+  and needs no parsed query.  Literals are floats, so ``A > 5`` and
+  ``A > 5.0`` share an entry; whitespace or keyword-case variants of
+  one statement have different fingerprints and do not.
 * :class:`ParseCache` — parsed statement templates.  Keys are SQL
-  *fingerprints* (:func:`repro.sql.parser.fingerprint_sql` — the
-  statement text with numeric literals masked), so a parameterized
-  statement's thousandth instance re-binds the cached AST instead of
+  *fingerprints* (the statement text with numeric literals masked), so
+  a parameterized statement's thousandth instance re-binds the cached
+  AST (or, on the planned leg, skips the AST entirely) instead of
   re-running the tokenizer and recursive descent.
 * :class:`PlanCache` — compiled shape plans for the fused estimate
   path.  Keys are query *shapes* (:func:`repro.featurize.batch.query_shape`
@@ -23,8 +25,9 @@ maps built on one locked core (:class:`_LruCache`):
   compile produced even though every literal differs and the exact-match
   cache misses.
 
-The three form the serving pipeline's cache ladder: fingerprint → AST
-(parse), shape → plan (compile), exact query → estimate (everything).
+The three form the serving pipeline's cache ladder: fingerprint +
+literals → estimate (everything), fingerprint → statement (parse),
+shape → plan (compile).
 
 Hit/miss/eviction counts are mirrored into the process-global
 :mod:`repro.obs.metrics_runtime` registry (``serve.cache.*`` /
@@ -39,15 +42,8 @@ from threading import Lock
 
 from repro import obs
 from repro.featurize.batch import CompiledPlan
-from repro.sql.ast import Query
-from repro.workloads.serialization import canonical_query_text
 
-__all__ = ["EstimateCache", "ParseCache", "PlanCache", "query_cache_key"]
-
-
-def query_cache_key(query: Query) -> str:
-    """Canonical cache key of a query (its serialized single-line SQL)."""
-    return canonical_query_text(query)
+__all__ = ["EstimateCache", "ParseCache", "PlanCache"]
 
 
 class _LruCache:
@@ -148,7 +144,7 @@ class _LruCache:
 
 
 class EstimateCache(_LruCache):
-    """Exact-match query key -> estimate (``serve.cache.*`` counters).
+    """``(fingerprint, literals)`` -> estimate (``serve.cache.*`` counters).
 
     Values are stored as ``float``; see the module docstring for why
     exact-match caching of estimates is always sound.
@@ -159,7 +155,7 @@ class EstimateCache(_LruCache):
     def __init__(self, max_size: int = 1024) -> None:
         super().__init__(max_size)
 
-    def store(self, key: str, estimate: float) -> None:
+    def store(self, key: tuple, estimate: float) -> None:
         """Insert (or refresh) an estimate, evicting the LRU if full."""
         super().store(key, float(estimate))
 

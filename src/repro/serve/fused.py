@@ -6,12 +6,14 @@ AST (compile), encodes per query, and — for gradient boosting — loops
 python-level over every tree (predict).  :class:`FusedEstimatePath`
 removes all three taxes for estimators that support it:
 
-1. **compile** — each query is keyed by its *shape*
+1. **prepare** — each statement is keyed by its *shape*
    (:func:`repro.featurize.batch.query_shape`: boolean structure with
    numeric literals masked) and resolves a
    :class:`~repro.featurize.batch.CompiledPlan` from the shape-keyed
    :class:`~repro.serve.cache.PlanCache`; only a never-seen shape pays
-   an AST compile.
+   an AST compile.  This is also where a statement is validated, so
+   the serving layer prepares in the request thread and only
+   validated :class:`PreparedStatement` items reach the execute stage.
 2. **encode** — the whole batch, however many distinct shapes it
    mixes, is stamped out in one plan-stitching pass
    (:meth:`~repro.featurize.base.Featurizer.encode_with_plans`:
@@ -25,21 +27,22 @@ removes all three taxes for estimators that support it:
    runs the packed :class:`~repro.models.compiled_forest.CompiledForest`
    (level-synchronous traversal, no per-tree loop).
 
-Every stage emits a span (``serve.fused.compile`` / ``.encode`` /
+Encode and predict emit spans (``serve.fused.encode`` /
 ``.predict``), and the whole path is bitwise-identical to
 ``estimator.estimate_batch`` on the same queries — the equivalence
 suite and ``repro bench serve`` both assert it.
 
-On top of the query-level path sits the **SQL-direct planned leg**: a
-statement template the parse cache has already seen can be
-shape-compiled once into a :class:`PlannedStatement` (shape key +
-walk-order literal permutation).  Instances of that statement then
-never materialize a bound AST at all — the service hands the fused
-path the statement plus each instance's fingerprint literals, and the
-literals are gathered straight into the stitched encode.  The leg is
-available only for featurizers whose encode stage ignores
-``batch.exprs`` (:attr:`~repro.featurize.base.Featurizer.encode_uses_exprs`
-is ``False``), because there are no per-query expressions to give it.
+A statement reaches the execute stage (:meth:`estimate_planned`) by
+one of two legs.  The **bound leg** prepares a parsed query
+(:meth:`prepare`).  The **SQL-direct planned leg** skips the AST: a
+statement template the parse cache has already seen is shape-compiled
+once into a :class:`PlannedStatement` (shape key + walk-order literal
+permutation), and each instance's fingerprint literals are gathered
+straight into its literal vector (:meth:`prepare_planned`).  The
+planned leg is available only for featurizers whose encode stage
+ignores ``batch.exprs``
+(:attr:`~repro.featurize.base.Featurizer.encode_uses_exprs` is
+``False``), because it has no per-query expressions to give it.
 
 The path is *conditional*: :meth:`FusedEstimatePath.try_build` returns
 ``None`` (bypass, legacy path) for estimators whose featurizer is not a
@@ -51,18 +54,18 @@ compositions, the global model, and MSCN keep their existing
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.estimators.base import CardinalityEstimator
 from repro.featurize.base import Featurizer
-from repro.featurize.batch import query_shape
+from repro.featurize.batch import CompiledPlan, query_shape
 from repro.serve.cache import PlanCache
 from repro.sql.ast import BoolExpr, Query
 
-__all__ = ["FusedEstimatePath", "PlannedStatement"]
+__all__ = ["FusedEstimatePath", "PlannedStatement", "PreparedStatement"]
 
 
 @dataclass(frozen=True)
@@ -88,14 +91,27 @@ class PlannedStatement:
     expr: BoolExpr | None
 
 
+class PreparedStatement(NamedTuple):
+    """One validated statement instance, ready for the execute stage."""
+
+    #: The statement's resolved shape plan.
+    plan: CompiledPlan
+    #: Walk-order literal vector (``plan.n_literals`` values).
+    literals: np.ndarray
+    #: The bound WHERE expression (``None`` on the planned leg, whose
+    #: encode ignores it).
+    expr: BoolExpr | None
+
+
 class FusedEstimatePath:
     """Shape-plan-cached batch estimation for a compiled estimator.
 
-    Build via :meth:`try_build`; call :meth:`estimate_batch` exactly
-    where ``estimator.estimate_batch`` would be called (the micro-batch
-    executor and the client-batch endpoint).  Thread safety matches the
-    underlying pieces: the plan cache is locked, encode and predict are
-    pure, so concurrent calls are safe.
+    Build via :meth:`try_build`.  :meth:`estimate_batch` stands in for
+    ``estimator.estimate_batch``; the serving layer instead prepares
+    each statement itself and hands the prepared batch to
+    :meth:`estimate_planned`.  Thread safety matches the underlying
+    pieces: the plan cache is locked, encode and predict are pure, so
+    concurrent calls are safe.
     """
 
     def __init__(self, estimator: CardinalityEstimator,
@@ -147,9 +163,9 @@ class FusedEstimatePath:
         featurizer rejects it (wrong table, unknown attribute, a query
         class the QFT cannot represent) or its encode stage needs the
         bound expressions.  Instances of such statements simply take
-        the bound-AST path, where the same validation raises per
-        request.  Eligible statements also warm the plan cache here, so
-        their first instance already hits.
+        the bound leg, where the same validation raises per request.
+        Eligible statements also warm the plan cache here, so their
+        first instance already hits.
         """
         if not self.supports_planned_statements:
             return None
@@ -160,81 +176,75 @@ class FusedEstimatePath:
             # instance's key and the walk-order literal vector *is*
             # the walk -> fingerprint permutation.
             key, sentinel = query_shape(expr)
-            plan = self._plan_cache.lookup(key)
-            if plan is None:
-                plan = self._featurizer.compile_plan(expr)
-                self._plan_cache.store(key, plan)
+            self._plan(key, expr)
         except (ValueError, TypeError, KeyError):
             return None
         return PlannedStatement(shape_key=key,
                                 perm=sentinel.astype(np.int64), expr=expr)
 
-    def estimate_batch(self, queries: Sequence[Query]) -> np.ndarray:
-        """Estimate a batch through the fused pipeline.
+    def prepare(self, query: Query) -> PreparedStatement:
+        """Validate a bound query and resolve its plan (the bound leg).
 
-        Raises the same per-query validation errors the legacy path
-        raises (wrong table, unknown attribute, unsupported query
-        class); results are bitwise-identical to
-        ``estimator.estimate_batch(queries)``.
+        Raises the per-query validation errors ``estimate_batch``
+        raises for the same query (wrong table, unknown attribute,
+        unsupported query class).
         """
-        batch = list(queries)
-        if not batch:
-            return np.empty(0, dtype=np.float64)
-        # Per-query validation + shape keying; errors surface at the
-        # first offending query, like compile_batch's extraction pass.
-        exprs = [self._featurizer.extract_expr(q) for q in batch]
-        shaped = [query_shape(e) for e in exprs]
-        return self._execute([key for key, _ in shaped],
-                             [literals for _, literals in shaped],
-                             exprs, exprs)
+        return self._prepare_expr(self._featurizer.extract_expr(query))
 
-    def estimate_planned(self, statements: Sequence[PlannedStatement],
-                         literal_rows: Sequence[np.ndarray]) -> np.ndarray:
-        """Estimate instances of planned statements (the SQL-direct leg).
+    def prepare_planned(self, statement: PlannedStatement,
+                        literals: Sequence[float]) -> PreparedStatement:
+        """Prepare an instance of a planned statement (the planned leg).
 
-        ``literal_rows[i]`` is instance ``i``'s literal vector already
-        gathered to walk order through ``statements[i].perm``.  Results
-        are bitwise-identical to :meth:`estimate_batch` on the
+        ``literals`` are the instance's fingerprint literals in textual
+        order; they are gathered to walk order through the statement's
+        permutation.  Never raises: the template passed validation when
+        it was planned.
+        """
+        row = np.asarray(literals, dtype=np.float64)[statement.perm]
+        return PreparedStatement(self._plan(statement.shape_key,
+                                            statement.expr), row, None)
+
+    def estimate_batch(self, queries: Sequence[Query]) -> np.ndarray:
+        """Estimate a batch of bound queries through the fused pipeline.
+
+        Results are bitwise-identical to
+        ``estimator.estimate_batch(queries)``, and so are the errors:
+        every query is extracted before any plan compiles, as
+        ``compile_batch`` does.
+        """
+        exprs = [self._featurizer.extract_expr(q) for q in queries]
+        return self.estimate_planned([self._prepare_expr(e) for e in exprs])
+
+    def estimate_planned(self, statements: Sequence[PreparedStatement]
+                         ) -> np.ndarray:
+        """The execute stage: stitch-encode and predict prepared statements.
+
+        Statements from both legs mix freely in one batch; the result
+        is bitwise-identical to :meth:`estimate_batch` on the
         equivalent bound queries — same plans, same stitched encode,
-        same predict — minus the ASTs.
+        same predict.
         """
         k = len(statements)
         if k == 0:
             return np.empty(0, dtype=np.float64)
-        return self._execute([s.shape_key for s in statements],
-                             literal_rows, (None,) * k,
-                             [s.expr for s in statements])
-
-    def _execute(self, keys: Sequence[tuple],
-                 literal_rows: Sequence[np.ndarray],
-                 exprs: Sequence[BoolExpr | None],
-                 compile_exprs: Sequence[BoolExpr | None]) -> np.ndarray:
-        """Resolve plans, stitch-encode, predict — the shared pipeline.
-
-        ``exprs`` rides into the :class:`PredicateBatch` (all ``None``
-        on the planned leg — allowed because that leg requires an
-        encode that ignores them); ``compile_exprs`` is what a plan is
-        compiled from when its shape misses the cache.
-        """
-        with obs.span("serve.fused.compile", n_queries=len(keys)) as span:
-            # Resolve each query's plan; a batch repeating one shape
-            # consults the (locked) cache once for it.
-            local: dict[tuple, object] = {}
-            plans = []
-            for key, expr in zip(keys, compile_exprs):
-                plan = local.get(key)
-                if plan is None:
-                    plan = self._plan_cache.lookup(key)
-                    if plan is None:
-                        plan = self._featurizer.compile_plan(expr)
-                        self._plan_cache.store(key, plan)
-                    local[key] = plan
-                plans.append(plan)
-            if span is not None:
-                span.set_attribute("n_shapes", len(local))
-        with obs.span("serve.fused.encode", n_queries=len(keys)):
+        with obs.span("serve.fused.encode", n_queries=k):
             matrix = self._featurizer.encode_with_plans(
-                plans, literal_rows, exprs)
-        with obs.span("serve.fused.predict", n_queries=len(keys),
+                [s.plan for s in statements],
+                [s.literals for s in statements],
+                [s.expr for s in statements])
+        with obs.span("serve.fused.predict", n_queries=k,
                       metric="serve.fused.predict.seconds"):
             return self._estimator.estimate_features(matrix)
+
+    def _prepare_expr(self, expr: BoolExpr | None) -> PreparedStatement:
+        key, literals = query_shape(expr)
+        return PreparedStatement(self._plan(key, expr), literals, expr)
+
+    def _plan(self, key: tuple, expr: BoolExpr | None) -> CompiledPlan:
+        """The cached plan of shape ``key``, compiled from ``expr`` on a
+        miss (which raises the featurizer's compile-time errors)."""
+        plan = self._plan_cache.lookup(key)
+        if plan is None:
+            plan = self._featurizer.compile_plan(expr)
+            self._plan_cache.store(key, plan)
+        return plan

@@ -2,14 +2,13 @@
 
 Two layers, separable for testing:
 
-* :class:`EstimationService` — the transport-free core.  It owns the
-  :class:`~repro.serve.batcher.MicroBatcher`, the
-  :class:`~repro.serve.cache.EstimateCache`, the shape-keyed
-  :class:`~repro.serve.cache.PlanCache` feeding the fused
-  compile→encode→predict path (:mod:`repro.serve.fused`, used by both
-  the micro-batcher and the client-batch endpoint when the estimator is
-  eligible), and the admission-control counter, and exposes
-  ``estimate`` / ``estimate_many`` / ``close``.
+* :class:`EstimationService` — the transport-free core: one SQL
+  request pipeline (fingerprint → estimate cache → parse cache → fused
+  execute) behind ``estimate`` / ``estimate_many_sql`` / ``feedback``.
+  It owns the :class:`~repro.serve.batcher.MicroBatcher`, the three
+  caches of :mod:`repro.serve.cache`, the fused
+  compile→encode→predict path (:mod:`repro.serve.fused`, when the
+  estimator is eligible), and the admission-control counter.
 * :class:`EstimationServer` — a ``ThreadingHTTPServer`` wrapping one
   service in a small JSON API:
 
@@ -60,8 +59,7 @@ from __future__ import annotations
 
 import threading
 import urllib.parse
-
-import numpy as np
+from typing import Sequence
 
 from repro import obs
 from repro.estimators.base import CardinalityEstimator
@@ -70,12 +68,7 @@ from repro.feedback import QueryFeedbackMonitor
 from repro.metrics import qerror
 from repro.obs.prometheus import CONTENT_TYPE, render_prometheus
 from repro.serve.batcher import BatcherClosedError, MicroBatcher
-from repro.serve.cache import (
-    EstimateCache,
-    ParseCache,
-    PlanCache,
-    query_cache_key,
-)
+from repro.serve.cache import EstimateCache, ParseCache, PlanCache
 from repro.serve.fused import FusedEstimatePath, PlannedStatement
 from repro.serve.http import JsonRequestHandler, ThreadedJsonServer
 from repro.sql.ast import Query, UnsupportedQueryError
@@ -107,21 +100,22 @@ class _RequestTelemetry:
     """Collects one request's wide-event fields and emits on exit.
 
     Opened around the whole request (admission included, so rejections
-    are captured too); the body fills in ``cache`` / ``batch_id`` /
-    ``estimate`` as they become known.  On exit — normal or exceptional
-    — the latency stopwatch stops and the service records the event,
-    the windowed latency observation, the latency SLO sample, and the
-    logical-tick bump.
+    are captured too); the body fills in ``fingerprint`` / ``cache`` /
+    ``batch_id`` / ``estimate`` as they become known.  On exit — normal
+    or exceptional — the latency stopwatch stops and the service
+    records the event, the windowed latency observation, the latency
+    SLO sample, and the logical-tick bump.
     """
 
-    __slots__ = ("_service", "sql", "trace_id", "cache", "batch_id",
-                 "estimate", "watch")
+    __slots__ = ("_service", "sql", "trace_id", "fingerprint", "cache",
+                 "batch_id", "estimate", "watch")
 
     def __init__(self, service: "EstimationService", sql: str | None,
                  trace_id: int | None) -> None:
         self._service = service
         self.sql = sql
         self.trace_id = trace_id
+        self.fingerprint: str | None = None
         self.cache: str | None = None
         self.batch_id: int | None = None
         self.estimate: float | None = None
@@ -143,7 +137,7 @@ class _Statement:
 
     Holds the re-bindable AST template plus, when the fused path could
     shape-compile it, its :class:`~repro.serve.fused.PlannedStatement`
-    for the SQL-direct batch leg.  These are the values the
+    for the SQL-direct planned leg.  These are the values the
     fingerprint-keyed :class:`~repro.serve.cache.ParseCache` stores.
     """
 
@@ -156,7 +150,24 @@ class _Statement:
 
 
 class EstimationService:
-    """Cache → micro-batcher → estimator pipeline with admission control.
+    """SQL in, estimates out: one request pipeline with admission control.
+
+    Every entry point — :meth:`estimate` (one statement, through the
+    micro-batcher), :meth:`estimate_many_sql` (a client batch) and the
+    re-estimate in :meth:`feedback` — runs the same steps per
+    statement:
+
+    1. ``fingerprint_sql`` once: ``(fingerprint, literals)``;
+    2. probe the :class:`~repro.serve.cache.EstimateCache` on that pair;
+    3. on a miss, prepare the statement in the request thread: a seen
+       fingerprint yields its planned statement (SQL-direct leg, no
+       AST) or re-binds its cached template, a first-seen statement is
+       parsed; then the fused path validates and plans it.  A bad
+       statement fails here, alone;
+    4. execute every miss of the request in one call — the fused
+       path's ``estimate_planned`` (or, for estimators without a fused
+       path, their own ``estimate_batch``);
+    5. store the misses' estimates in the estimate cache.
 
     Parameters
     ----------
@@ -179,8 +190,8 @@ class EstimationService:
     parse_cache_size:
         Fingerprint-keyed parsed-template cache capacity (prepared-
         statement style: instances of a seen statement template skip
-        the parser and re-bind the cached AST); ``0`` disables it and
-        every request parses from scratch.
+        the parser); ``0`` disables it and every request parses from
+        scratch.
     model_version:
         Label value for per-model telemetry dimensions; defaults to the
         estimator's ``name`` (or its class name).
@@ -213,11 +224,12 @@ class EstimationService:
         self._parse_cache = ParseCache(max_size=parse_cache_size)
         self._fused = FusedEstimatePath.try_build(estimator,
                                                   self._plan_cache)
-        estimate_batch = (self._fused.estimate_batch
-                          if self._fused is not None
-                          else estimator.estimate_batch)
-        self._estimate_batch = estimate_batch
-        self._batcher = MicroBatcher(estimate_batch,
+        # The execute stage: maps prepared statements (bound queries
+        # when there is no fused path) to a vector of estimates.
+        self._estimate_batch = (self._fused.estimate_planned
+                                if self._fused is not None
+                                else estimator.estimate_batch)
+        self._batcher = MicroBatcher(self._estimate_batch,
                                      max_batch_size=max_batch_size,
                                      max_wait_ms=max_wait_ms)
         self._cache = EstimateCache(max_size=cache_size)
@@ -291,28 +303,105 @@ class EstimationService:
         """The drift monitor fed by :meth:`feedback` (for stats/tests)."""
         return self._monitor
 
-    def parse(self, sql: str) -> Query:
-        """Parse request SQL into a query AST (``ValueError`` family on
-        malformed input, so callers can map it to a 400).
+    def estimate(self, sql: str,
+                 trace_id: int | None = None) -> tuple[float, bool]:
+        """Estimate one SQL statement; returns ``(estimate, was_cached)``.
 
-        Parameterized statements hit the fingerprint-keyed
-        :class:`~repro.serve.cache.ParseCache`: an instance of a seen
-        template re-binds the cached AST with its own literals instead
-        of re-running the parser; only templates whose round-trip
-        self-check passed are ever cached, so results are identical
-        either way.
+        A cache hit short-circuits; a miss is prepared (and so
+        validated) in the calling thread, then rides the micro-batcher,
+        and its estimate is cached on the way out.  Saturation raises
+        :class:`ServiceUnavailableError` *before* any work is queued.
+        ``trace_id`` joins the request's spans to the caller's trace.
         """
-        if not self._parse_cache.enabled:
-            return parse_query(sql)
-        fingerprint, literals = fingerprint_sql(sql)
+        with _RequestTelemetry(self, sql, trace_id) as telemetry:
+            self._serve([sql], telemetry)
+        return telemetry.estimate, telemetry.cache == "hit"
+
+    def estimate_many_sql(self, sqls: list[str],
+                          trace_id: int | None = None) -> list[float]:
+        """Estimate a client-supplied batch of SQL statements.
+
+        The batch is already amortised, so its misses skip the
+        micro-batcher and execute together in the request thread;
+        cache hits are honoured and misses are cached.  The results are
+        bitwise-identical to ``estimator.estimate_batch`` on the parsed
+        statements.
+        """
+        with _RequestTelemetry(self, None, trace_id) as telemetry:
+            telemetry.cache = "batch"
+            return self._serve(sqls, telemetry)
+
+    def _serve(self, sqls: list[str],
+               telemetry: _RequestTelemetry) -> list[float]:
+        """Admit one request and run its statements through the pipeline.
+
+        A single-statement request (``telemetry.sql`` set) rides the
+        micro-batcher and reports its cache outcome on ``telemetry``.
+        """
+        keyed = [fingerprint_sql(sql) for sql in sqls]
+        single = telemetry if telemetry.sql is not None else None
+        if single is not None:
+            single.fingerprint = keyed[0][0]
+        with obs.use_trace_context(telemetry.trace_id
+                                   or obs.current_trace_id()), \
+                self._admit(1), \
+                obs.span("serve.request", metric="serve.request.seconds",
+                         n_queries=len(sqls)):
+            registry = obs.get_registry()
+            registry.counter("serve.requests_total").inc()
+            registry.counter("serve.queries_total").inc(len(sqls))
+            return self._estimate_keyed(sqls, keyed, single)
+
+    def _estimate_keyed(self, sqls: list[str],
+                        keyed: list[tuple[str, tuple[float, ...]]],
+                        single: _RequestTelemetry | None = None
+                        ) -> list[float]:
+        """Cache probe, prepare, execute, cache store (steps 2-5).
+
+        ``keyed[i]`` is ``fingerprint_sql(sqls[i])``.  Misses execute
+        inline as one batch, unless ``single`` carries the telemetry of
+        a one-statement request, whose miss rides the micro-batcher.
+        """
+        results = [0.0] * len(sqls)
+        positions: list[int] = []
+        items: list = []
+        for position, (sql, key) in enumerate(zip(sqls, keyed)):
+            cached = self._cache.lookup(key)
+            if cached is not None:
+                results[position] = cached
+            else:
+                positions.append(position)
+                items.append(self._prepare(sql, *key))
+        if items:
+            estimates = (self._submit(items[0], single) if single is not None
+                         else self._execute(items))
+            for position, estimate in zip(positions, estimates):
+                value = float(estimate)
+                self._cache.store(keyed[position], value)
+                results[position] = value
+        if single is not None:
+            single.cache = "miss" if items else "hit"
+            single.estimate = results[0]
+        return results
+
+    def _prepare(self, sql: str, fingerprint: str,
+                 literals: tuple[float, ...]):
+        """Turn one statement into an item of the execute stage.
+
+        Raises the request's 4xx errors (syntax, unsupported query,
+        unknown attribute, wrong table) in the calling thread.
+        """
         statement = self._parse_cache.lookup(fingerprint)
-        if statement is not None:
+        if statement is None:
+            query = parse_query(sql)
+            self._remember_statement(fingerprint, query, literals)
+        elif statement.planned is not None:
+            return self._fused.prepare_planned(statement.planned, literals)
+        else:
             # Statements sharing a fingerprint differ only in literal
             # text, so the literal count always matches the template's.
-            return bind_template(statement.template, literals)
-        query = parse_query(sql)
-        self._remember_statement(fingerprint, query, literals)
-        return query
+            query = bind_template(statement.template, literals)
+        return query if self._fused is None else self._fused.prepare(query)
 
     def _remember_statement(self, fingerprint: str, query: Query,
                             literals: tuple[float, ...]) -> None:
@@ -323,6 +412,8 @@ class EstimationService:
         round-trip self-check fails stay uncached and every instance
         parses from scratch.
         """
+        if not self._parse_cache.enabled:
+            return
         template = make_template(query, literals)
         if template is None:
             return
@@ -330,165 +421,31 @@ class EstimationService:
                    if self._fused is not None else None)
         self._parse_cache.store(fingerprint, _Statement(template, planned))
 
-    def estimate(self, query: Query, sql: str | None = None,
-                 trace_id: int | None = None) -> tuple[float, bool]:
-        """Estimate one query; returns ``(estimate, was_cached)``.
+    def _submit(self, item, telemetry: _RequestTelemetry) -> list[float]:
+        """Run one prepared item through the micro-batcher.
 
-        Cache hit short-circuits; a miss rides the micro-batcher and the
-        result is cached on the way out.  Saturation raises
-        :class:`ServiceUnavailableError` *before* any work is queued.
-        ``sql``/``trace_id`` enrich the request's wide event and join
-        its spans to the caller's trace; both are optional.
+        The request thread waits for the estimate anyway, so an item
+        that finds the batcher idle executes right here.
         """
-        with _RequestTelemetry(self, sql, trace_id) as telemetry, \
-                obs.use_trace_context(trace_id or obs.current_trace_id()), \
-                self._admit(1), \
-                obs.span("serve.request", metric="serve.request.seconds"):
-            registry = obs.get_registry()
-            registry.counter("serve.requests_total").inc()
-            registry.counter("serve.queries_total").inc()
-            # Serializing the cache key costs more than a dict probe;
-            # skip it entirely when the cache cannot hit anyway.
-            if self._cache.enabled:
-                key = query_cache_key(query)
-                cached = self._cache.lookup(key)
-                if cached is not None:
-                    telemetry.cache = "hit"
-                    telemetry.estimate = cached
-                    return cached, True
+        request = self._batcher.run_if_idle(item, telemetry.trace_id)
+        if request is None:
             try:
                 request = self._batcher.submit_request(
-                    query, trace_id=trace_id)
+                    item, trace_id=telemetry.trace_id)
             except BatcherClosedError as exc:
                 raise ServiceUnavailableError(str(exc)) from exc
-            estimate = request.future.result()
-            telemetry.cache = "miss"
-            telemetry.batch_id = request.batch_id
-            telemetry.estimate = estimate
-            if self._cache.enabled:
-                self._cache.store(key, estimate)
-            return estimate, False
+        estimate = request.future.result()
+        telemetry.batch_id = request.batch_id
+        return [estimate]
 
-    def estimate_many(self, queries: list[Query],
-                      trace_id: int | None = None) -> list[float]:
-        """Estimate a client-supplied batch in one estimator call.
-
-        The batch is already amortised, so misses bypass the collection
-        window and go straight through ``estimate_batch``; individual
-        cache hits are still honoured and misses are cached.
-        """
-        with _RequestTelemetry(self, None, trace_id) as telemetry, \
-                obs.use_trace_context(trace_id or obs.current_trace_id()), \
-                self._admit(1), \
-                obs.span("serve.request", metric="serve.request.seconds",
-                         n_queries=len(queries)):
-            telemetry.cache = "batch"
-            registry = obs.get_registry()
-            registry.counter("serve.requests_total").inc()
-            registry.counter("serve.queries_total").inc(len(queries))
-            if self._closed:
-                raise ServiceUnavailableError("service is shut down")
-            results: list[float | None] = [None] * len(queries)
-            misses: list[tuple[int, Query, str | None]] = []
-            if self._cache.enabled:
-                for position, query in enumerate(queries):
-                    key = query_cache_key(query)
-                    value = self._cache.lookup(key)
-                    if value is None:
-                        misses.append((position, query, key))
-                    else:
-                        results[position] = value
-            else:
-                # Key serialization is pure waste against a disabled
-                # cache; every query is a miss by construction.
-                misses = [(position, query, None)
-                          for position, query in enumerate(queries)]
-            if misses:
-                registry.counter("serve.batches_total").inc()
-                registry.histogram("serve.batch.size").record(len(misses))
-                with obs.span("serve.batch.execute", n_queries=len(misses),
-                              metric="serve.batch.execute.seconds"):
-                    estimates = self._estimate_batch(
-                        [query for _, query, _ in misses])
-                for (position, _, key), estimate in zip(misses, estimates):
-                    value = float(estimate)
-                    if key is not None:
-                        self._cache.store(key, value)
-                    results[position] = value
-            return [float(value) for value in results]
-
-    def estimate_many_sql(self, sqls: list[str],
-                          trace_id: int | None = None) -> list[float]:
-        """Estimate a batch straight from SQL text (the batch endpoint).
-
-        This is the serving hot path's top: when the fused path can
-        shape-plan statements, the parse cache is on, and the
-        exact-match estimate cache is off (its keys need bound
-        queries), instances of already-seen statements skip AST
-        construction entirely — fingerprint → planned statement →
-        literals gathered into the stitched encode.  First-seen
-        statements, uncacheable templates, and statements outside the
-        planned class ride the bound-AST path within the same request;
-        in every configuration the results are bitwise-identical to
-        ``estimate_many([parse(sql) for sql in sqls])``, which is also
-        the literal fallback whenever the planned leg is unavailable.
-        """
-        fused = self._fused
-        if (fused is None or not fused.supports_planned_statements
-                or self._cache.enabled or not self._parse_cache.enabled):
-            return self.estimate_many([self.parse(sql) for sql in sqls],
-                                      trace_id=trace_id)
-        with _RequestTelemetry(self, None, trace_id) as telemetry, \
-                obs.use_trace_context(trace_id or obs.current_trace_id()), \
-                self._admit(1), \
-                obs.span("serve.request", metric="serve.request.seconds",
-                         n_queries=len(sqls)):
-            telemetry.cache = "batch"
-            registry = obs.get_registry()
-            registry.counter("serve.requests_total").inc()
-            registry.counter("serve.queries_total").inc(len(sqls))
-            if self._closed:
-                raise ServiceUnavailableError("service is shut down")
-            n = len(sqls)
-            results: list[float] = [0.0] * n
-            planned_pos: list[int] = []
-            planned_stmts: list[PlannedStatement] = []
-            planned_rows: list[np.ndarray] = []
-            query_pos: list[int] = []
-            query_objs: list[Query] = []
-            for position, sql in enumerate(sqls):
-                fingerprint, literals = fingerprint_sql(sql)
-                statement = self._parse_cache.lookup(fingerprint)
-                if statement is None:
-                    query = parse_query(sql)
-                    self._remember_statement(fingerprint, query, literals)
-                    query_pos.append(position)
-                    query_objs.append(query)
-                elif statement.planned is not None:
-                    planned = statement.planned
-                    planned_pos.append(position)
-                    planned_stmts.append(planned)
-                    planned_rows.append(np.asarray(
-                        literals, dtype=np.float64)[planned.perm])
-                else:
-                    query_pos.append(position)
-                    query_objs.append(
-                        bind_template(statement.template, literals))
-            if n:
-                registry.counter("serve.batches_total").inc()
-                registry.histogram("serve.batch.size").record(n)
-            with obs.span("serve.batch.execute", n_queries=n,
-                          metric="serve.batch.execute.seconds"):
-                if planned_stmts:
-                    estimates = fused.estimate_planned(
-                        planned_stmts, planned_rows).tolist()
-                    for position, estimate in zip(planned_pos, estimates):
-                        results[position] = estimate
-                if query_objs:
-                    estimates = fused.estimate_batch(query_objs).tolist()
-                    for position, estimate in zip(query_pos, estimates):
-                        results[position] = estimate
-            return results
+    def _execute(self, items: list) -> Sequence[float]:
+        """Run prepared items inline as one batch."""
+        registry = obs.get_registry()
+        registry.counter("serve.batches_total").inc()
+        registry.histogram("serve.batch.size").record(len(items))
+        with obs.span("serve.batch.execute", n_queries=len(items),
+                      metric="serve.batch.execute.seconds"):
+            return self._estimate_batch(items)
 
     def feedback(self, sql: str, true_cardinality: float,
                  estimate: float | None = None,
@@ -502,15 +459,18 @@ class EstimationService:
         rate, the drift :class:`~repro.feedback.QueryFeedbackMonitor`,
         and the worst-q-error exemplar reservoir (which keeps ``sql``
         itself).  ``estimate`` is the estimate the caller was served;
-        when omitted the service re-estimates the query directly
-        (bypassing caches and admission — feedback must not compete
-        with live traffic for in-flight slots).
+        when omitted the service re-estimates the statement through the
+        request pipeline inline (bypassing admission and the batcher —
+        feedback must not compete with live traffic for in-flight
+        slots).  A supplied estimate still requires ``sql`` to parse.
         """
         with obs.use_trace_context(trace_id or obs.current_trace_id()), \
                 obs.span("serve.feedback"):
-            query = self.parse(sql)
+            key = fingerprint_sql(sql)
             if estimate is None:
-                estimate = float(self._estimate_batch([query])[0])
+                estimate = self._estimate_keyed([sql], [key])[0]
+            elif self._parse_cache.lookup(key[0]) is None:
+                parse_query(sql)
             true_floored = max(float(true_cardinality), 1.0)
             estimate_floored = max(float(estimate), 1.0)
             observed = float(qerror(true_floored, estimate_floored))
@@ -522,28 +482,16 @@ class EstimationService:
             registry = obs.get_registry()
             registry.counter("serve.feedback_total").inc()
             registry.histogram("serve.feedback.qerror").record(observed)
-            try:
-                fingerprint, _ = fingerprint_sql(sql)
-            except (ValueError, SqlSyntaxError):
-                fingerprint = None
-            if fingerprint is not None:
-                obs.get_event_log().attach_qerror(fingerprint, observed,
-                                                  sql=sql)
+            obs.get_event_log().attach_qerror(key[0], observed, sql=sql)
             self._bump_tick()
             return observed, float(estimate)
 
     def _record_request(self, telemetry: "_RequestTelemetry",
                         error: str | None) -> None:
         """Emit one finished request's telemetry (event + windows)."""
-        fingerprint = None
-        if telemetry.sql is not None:
-            try:
-                fingerprint, _ = fingerprint_sql(telemetry.sql)
-            except (ValueError, SqlSyntaxError):
-                fingerprint = None
         obs.get_event_log().record(
             trace_id=telemetry.trace_id,
-            fingerprint=fingerprint,
+            fingerprint=telemetry.fingerprint,
             sql=telemetry.sql,
             batch_id=telemetry.batch_id,
             model_version=self._model_version,
@@ -681,8 +629,7 @@ class _RequestHandler(JsonRequestHandler):
         sql = payload.get("sql")
         if not isinstance(sql, str):
             raise ValueError('request body must carry {"sql": "<query>"}')
-        estimate, cached = self.service.estimate(self.service.parse(sql),
-                                                 sql=sql, trace_id=trace_id)
+        estimate, cached = self.service.estimate(sql, trace_id=trace_id)
         return {"estimate": estimate, "cached": cached}
 
     def _estimate_batch(self, payload: dict,

@@ -300,7 +300,9 @@ def parse_query(sql: str) -> Query:
 # digits inside identifiers like ``attr_3`` or ``t1.col`` intact; in
 # this grammar every standalone number is a predicate literal.
 _LITERAL_RE = re.compile(r"'[^']*'|(?<![\w.])-?\d+(?:\.\d+)?")
-_NUMBER_RE = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?")
+# The same numeric literal inside a capture group: ``split`` then
+# alternates text and literal pieces in one scan.
+_NUMBER_SPLIT_RE = re.compile(r"((?<![\w.])-?\d+(?:\.\d+)?)")
 
 
 def fingerprint_sql(sql: str) -> tuple[str, tuple[float, ...]]:
@@ -314,10 +316,10 @@ def fingerprint_sql(sql: str) -> tuple[str, tuple[float, ...]]:
     template will ever be cached under.
     """
     if "'" not in sql:
-        # No string literals to protect: constant-replacement sub and
-        # findall both run without a per-match python callback.
-        return (_NUMBER_RE.sub("?", sql),
-                tuple(map(float, _NUMBER_RE.findall(sql))))
+        # No string literals to protect: one split yields the text
+        # between literals (even slots) and the literals (odd slots).
+        parts = _NUMBER_SPLIT_RE.split(sql)
+        return "?".join(parts[0::2]), tuple(map(float, parts[1::2]))
     values: list[float] = []
 
     def _mask(match: "re.Match[str]") -> str:

@@ -60,6 +60,70 @@ class TestBasics:
         assert max(backend.batches) > 1
         assert sum(backend.batches) == 8
 
+    def test_idle_batcher_dispatches_at_once(self):
+        import time
+
+        backend = RecordingBackend()
+        with MicroBatcher(backend.estimate_batch, max_batch_size=8,
+                          max_wait_ms=500.0) as batcher:
+            started = time.perf_counter()
+            batcher.submit("lone").result(timeout=10)
+            elapsed = time.perf_counter() - started
+        # Nothing else was queued, so no window opened.
+        assert elapsed < 0.1
+        assert backend.batches == [1]
+
+    def test_run_if_idle_executes_on_the_calling_thread(self):
+        threads = []
+
+        def backend(items):
+            threads.append(threading.current_thread())
+            return np.full(len(items), 7.0)
+
+        with MicroBatcher(backend, max_batch_size=8,
+                          max_wait_ms=500.0) as batcher:
+            request = batcher.run_if_idle("lone")
+            # Executed before run_if_idle returned.
+            assert request.future.done()
+            assert request.future.result() == 7.0
+            assert request.batch_id == 1
+            assert batcher.submit("next").result(timeout=10) == 7.0
+        assert threads[0] is threading.current_thread()
+        assert threads[1].name == "repro-serve-batcher"
+
+    def test_run_if_idle_declines_while_a_request_is_in_flight(self):
+        release = threading.Event()
+        started = threading.Event()
+        calls = []
+
+        def backend(items):
+            calls.append((threading.current_thread().name, len(items)))
+            if len(calls) == 1:
+                started.set()
+                release.wait(timeout=10)
+            return np.full(len(items), float(len(calls)))
+
+        with MicroBatcher(backend, max_batch_size=8,
+                          max_wait_ms=50.0) as batcher:
+            first = threading.Thread(
+                target=lambda: batcher.run_if_idle("a"), name="first-caller")
+            first.start()
+            assert started.wait(timeout=10)
+            # "a" is executing on its caller's thread: nothing runs inline.
+            assert batcher.run_if_idle("b") is None
+            late = [batcher.submit(f"q{i}") for i in range(3)]
+            assert not any(future.done() for future in late)
+            release.set()
+            first.join(timeout=10)
+            for future in late:
+                assert future.result(timeout=10) >= 2.0
+            assert calls[0] == ("first-caller", 1)
+            assert {name for name, _ in calls[1:]} == {"repro-serve-batcher"}
+            assert sum(size for _, size in calls[1:]) == 3
+            # Idle again once everything has executed.
+            assert batcher.run_if_idle("c") is not None
+        assert batcher.run_if_idle("closed") is None
+
     def test_backend_error_propagates_to_all_futures(self):
         backend = RecordingBackend(fail=True)
         with MicroBatcher(backend.estimate_batch, max_batch_size=4,
@@ -129,6 +193,44 @@ class TestConcurrencyStress:
     N_THREADS = 8
     PER_THREAD = 30  # 240 requests total
 
+    def test_wide_window_never_strands_a_request(self):
+        # Every request resolves and is executed exactly once while the
+        # interpreter switches threads as often as it can: a request the
+        # worker lost between "queue looked empty" and dispatch would
+        # time out here.
+        import sys
+        import time
+
+        backend = RecordingBackend()
+        wrong: list[str] = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with MicroBatcher(backend.estimate_batch, max_batch_size=16,
+                              max_wait_ms=500.0) as batcher:
+                def worker(worker_id: int) -> None:
+                    for i in range(self.PER_THREAD):
+                        item = f"w{worker_id}-{i}"
+                        value = batcher.submit(item).result(timeout=10)
+                        if value != float(len(item)):
+                            wrong.append(item)
+
+                started = time.perf_counter()
+                threads = [threading.Thread(target=worker, args=(t,))
+                           for t in range(self.N_THREADS)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                elapsed = time.perf_counter() - started
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert sum(backend.batches) == self.N_THREADS * self.PER_THREAD
+        # Closed-loop callers never pay the 500 ms window.
+        assert elapsed < 5.0
+
     def test_batcher_matches_sequential_bitwise(self, serve_estimator,
                                                 conjunctive_workload):
         queries = conjunctive_workload.queries[:60]
@@ -167,6 +269,7 @@ class TestConcurrencyStress:
     def test_service_stress_with_cache_counters(self, serve_estimator,
                                                 conjunctive_workload):
         queries = conjunctive_workload.queries[:40]
+        sqls = [q.to_sql() for q in queries]
         expected = {id(q): serve_estimator.estimate(q) for q in queries}
         service = EstimationService(serve_estimator, max_batch_size=16,
                                     max_wait_ms=2.0, cache_size=1024,
@@ -179,7 +282,7 @@ class TestConcurrencyStress:
             start.wait()
             rng = np.random.default_rng(100 + worker_id)
             for pick in rng.integers(0, len(queries), self.PER_THREAD):
-                value, _ = service.estimate(queries[pick])
+                value, _ = service.estimate(sqls[pick])
                 if value != expected[id(queries[pick])]:
                     with lock:
                         failures.append(

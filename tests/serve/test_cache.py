@@ -5,8 +5,8 @@ from __future__ import annotations
 import threading
 
 from repro import obs
-from repro.serve import EstimateCache, query_cache_key
-from repro.workloads.serialization import canonical_query_text
+from repro.serve import EstimateCache, EstimationService
+from repro.sql.parser import fingerprint_sql
 
 
 class TestLookupStore:
@@ -77,15 +77,28 @@ class TestGlobalCounters:
 
 
 class TestCacheKey:
-    def test_key_is_canonical_serialized_form(self, conjunctive_workload):
-        query = conjunctive_workload.queries[0]
-        assert query_cache_key(query) == canonical_query_text(query)
+    def test_key_is_fingerprint_plus_literals(self, serve_estimator,
+                                              conjunctive_workload):
+        sql = conjunctive_workload.queries[0].to_sql()
+        service = EstimationService(serve_estimator, cache_size=8)
+        try:
+            [estimate] = service.estimate_many_sql([sql])
+            assert len(service.cache) == 1
+            assert service.cache.lookup(fingerprint_sql(sql)) == estimate
+        finally:
+            service.close()
 
-    def test_distinct_queries_distinct_keys(self, conjunctive_workload):
-        queries = conjunctive_workload.queries[:50]
-        keys = {query_cache_key(q) for q in queries}
-        texts = {q.to_sql() for q in queries}
-        assert len(keys) == len(texts)
+    def test_distinct_queries_distinct_keys(self, serve_estimator,
+                                            conjunctive_workload):
+        texts = [q.to_sql() for q in conjunctive_workload.queries[:50]]
+        keys = {fingerprint_sql(sql) for sql in texts}
+        assert len(keys) == len(set(texts))
+        service = EstimationService(serve_estimator, cache_size=64)
+        try:
+            service.estimate_many_sql(texts)
+            assert len(service.cache) == len(set(texts))
+        finally:
+            service.close()
 
 
 class TestThreadSafety:

@@ -48,7 +48,7 @@ def instances(conjunctive_workload):
 
 @pytest.fixture()
 def uncached_service(serve_estimator):
-    """Planned-leg configuration: estimate cache off, parse cache on."""
+    """Estimate cache off, so every call runs the fused path."""
     service = EstimationService(serve_estimator, cache_size=0)
     yield service
     service.close()
@@ -86,8 +86,8 @@ class TestFusedEquivalence:
         fused = uncached_service.fused
         fused.estimate_batch(instances)
         stats = uncached_service.plan_cache.stats()
-        # 8 shapes compiled once (repeats within one batch dedup
-        # through the batch-local map, not the cache) …
+        # 8 shapes compiled once (later instances of a shape in the
+        # same batch already hit the cache) …
         assert stats["misses"] == 8
         fused.estimate_batch(instances)
         # … and the next batch resolves all 8 shapes from the cache.
@@ -127,7 +127,7 @@ class TestPlannedLeg:
         assert after["hits"] - before["hits"] == len(sqls)
         assert after["misses"] == before["misses"]
 
-    def test_estimate_cache_enabled_falls_back_and_hits(
+    def test_estimate_cache_enabled_hits_on_repeats(
             self, serve_estimator, instances):
         service = EstimationService(serve_estimator, cache_size=128)
         try:

@@ -1,6 +1,10 @@
 """Tests for the SQL parser."""
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sql.ast import And, Op, Or, SimplePredicate, UnsupportedQueryError
 from repro.sql.parser import (SqlSyntaxError, bind_template,
@@ -201,3 +205,62 @@ class TestStatementTemplates:
         template = make_template(query, ())
         assert template is not None
         assert bind_template(template, ()) == query
+
+
+# The two-pass form ``fingerprint_sql`` replaced: ``sub`` to mask, then
+# ``findall`` to collect (string literals still go through one
+# callback pass).  Kept as the oracle of the one-pass split.
+_OLD_LITERAL_RE = re.compile(r"'[^']*'|(?<![\w.])-?\d+(?:\.\d+)?")
+_OLD_NUMBER_RE = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?")
+
+
+def _two_pass_fingerprint(sql: str) -> tuple[str, tuple[float, ...]]:
+    if "'" not in sql:
+        return (_OLD_NUMBER_RE.sub("?", sql),
+                tuple(map(float, _OLD_NUMBER_RE.findall(sql))))
+    values: list[float] = []
+
+    def _mask(match):
+        text = match.group(0)
+        if text.startswith("'"):
+            return text
+        values.append(float(text))
+        return "?"
+
+    return _OLD_LITERAL_RE.sub(_mask, sql), tuple(values)
+
+
+_SQL_PIECES = st.one_of(
+    st.from_regex(r"-?[0-9]{1,5}(\.[0-9]{1,3})?", fullmatch=True),
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}(\.[A-Za-z_][A-Za-z0-9_]{0,3})?",
+                  fullmatch=True),
+    st.from_regex(r"'[a-z0-9 .-]{0,6}'", fullmatch=True),
+    st.sampled_from(["<", "<=", "=", "<>", ">", ">=", "AND", "OR", "(", ")",
+                     ",", "-", ".", "SELECT count(*) FROM t WHERE"]),
+)
+
+
+class TestOnePassFingerprint:
+    """``fingerprint_sql`` against the two-pass form it replaced."""
+
+    @given(st.lists(st.tuples(_SQL_PIECES, st.sampled_from(["", " ", "  "])),
+                    max_size=30))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_two_pass_on_sql_pieces(self, pieces):
+        sql = "".join(piece + sep for piece, sep in pieces)
+        assert fingerprint_sql(sql) == _two_pass_fingerprint(sql)
+
+    @given(st.text(alphabet="0123456789.-_aAt1' <>=(),", max_size=80))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_two_pass_on_character_soup(self, sql):
+        assert fingerprint_sql(sql) == _two_pass_fingerprint(sql)
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT count(*) FROM t WHERE A > -5 AND B <= 3.25",
+        "SELECT count(*) FROM t1, t2 WHERE t1.col > 7 AND t2.c2 = t1.c3",
+        "SELECT count(*) FROM t WHERE A23 >= 10 AND A2 < 0.5",
+        "SELECT count(*) FROM t WHERE name = 'oak 42' AND A1 > 7",
+        "SELECT count(*) FROM t WHERE A>-1.5 AND B<2",
+    ])
+    def test_matches_two_pass_on_edge_cases(self, sql):
+        assert fingerprint_sql(sql) == _two_pass_fingerprint(sql)
