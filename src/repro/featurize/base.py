@@ -228,8 +228,8 @@ class Featurizer(abc.ABC):
         permutation.  All compile-time validation (query class,
         attribute resolution) runs here and raises exactly the errors
         ``compile_batch`` would raise for the same query; the returned
-        plan can then :meth:`~repro.featurize.batch.CompiledPlan.bind`
-        any same-shaped query without re-walking its AST.
+        plan then encodes any same-shaped query through
+        :meth:`encode_with_plans` without re-walking its AST.
         """
         expr = self._extract_expr(query)
         sentinel = index_values(expr)
@@ -245,52 +245,30 @@ class Featurizer(abc.ABC):
             n_literals=n_literals,
         )
 
-    def encode_with_plan(self, plan: CompiledPlan, literals: np.ndarray,
-                         exprs: Sequence[BoolExpr | None]) -> np.ndarray:
-        """Encode same-shaped queries through a pre-compiled plan.
-
-        ``literals`` is the ``(k, plan.n_literals)`` walk-order literal
-        matrix and ``exprs`` the matching expressions.  Produces the
-        same matrix ``featurize_batch`` would for those queries, minus
-        the per-query compile pass.
-        """
-        if plan.attributes != self._attributes:
-            raise ValueError(
-                "plan was compiled against a different feature space "
-                f"({plan.attributes} != {self._attributes})"
-            )
-        matrix = self._featurize_compiled(plan.bind(literals, exprs))
-        if matrix.shape != (len(exprs), self.feature_length) \
-                or matrix.dtype != np.float64:
-            raise AssertionError(
-                f"{type(self).__name__} produced {matrix.dtype} matrix "
-                f"of shape {matrix.shape}, expected float64 "
-                f"({len(exprs)}, {self.feature_length})"
-            )
-        return matrix
-
     def encode_with_plans(self, plans: Sequence[CompiledPlan],
-                          literal_rows: Sequence[np.ndarray],
-                          exprs: Sequence[BoolExpr | None]) -> np.ndarray:
+                          literals: Sequence[Sequence[float]],
+                          exprs: Sequence[BoolExpr | None],
+                          indices: Sequence[np.ndarray]) -> np.ndarray:
         """Encode a *mixed-shape* batch through pre-compiled plans.
 
-        ``plans[i]`` is query ``i``'s plan and ``literal_rows[i]`` its
-        walk-order literal vector; the plans may all differ.  The batch
-        is stamped out in one stitching pass
-        (:func:`~repro.featurize.batch.stitch_plans`) and encoded in
-        one vectorized call, so the cost does not grow with the number
-        of distinct shapes — the property the serving hot path relies
-        on.  Produces the same matrix ``featurize_batch`` would for the
-        original queries, minus every per-query compile pass.
+        ``plans[i]`` is query ``i``'s plan and ``literals[i]`` its
+        literal values, gathered into compile order through
+        ``indices[i]`` (``plans[i].perm`` for a walk-order literal
+        vector; see :func:`~repro.featurize.batch.stitch_plans`).  The
+        plans may all differ: the batch is stamped out in one stitching
+        pass and encoded in one vectorized call, so the cost does not
+        grow with the number of distinct shapes — the property the
+        serving hot path relies on.  Produces the same matrix
+        ``featurize_batch`` would for the original queries, minus every
+        per-query compile pass.
         """
-        for plan in plans:
-            if plan.attributes != self._attributes:
-                raise ValueError(
-                    "plan was compiled against a different feature space "
-                    f"({plan.attributes} != {self._attributes})"
-                )
-        matrix = self._featurize_compiled(
-            stitch_plans(plans, literal_rows, exprs))
+        batch = stitch_plans(plans, literals, exprs, indices)
+        if batch.attributes != self._attributes:
+            raise ValueError(
+                "plan was compiled against a different feature space "
+                f"({batch.attributes} != {self._attributes})"
+            )
+        matrix = self._featurize_compiled(batch)
         if matrix.shape != (len(exprs), self.feature_length) \
                 or matrix.dtype != np.float64:
             raise AssertionError(

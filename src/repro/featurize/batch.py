@@ -24,6 +24,7 @@ branch segments (Algorithm 2).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -222,9 +223,9 @@ class CompiledPlan:
     A plan is the single-query :class:`PredicateBatch` structure of a
     shape — attribute ids, branch ids, op codes — plus the permutation
     from walk-order literal slots to compile-order predicate rows.
-    :meth:`bind` stamps the structure out for ``k`` same-shaped queries
-    and gathers their literal matrix into place: the encode stage then
-    runs without re-walking a single AST.
+    :func:`stitch_plans` stamps plans out for a batch and gathers the
+    literals into place: the encode stage then runs without re-walking
+    a single AST.
 
     Built by :meth:`repro.featurize.base.Featurizer.compile_plan`;
     cached per shape key by the serving layer's plan cache.
@@ -249,89 +250,61 @@ class CompiledPlan:
         duplication, or fewer if a QFT drops rows)."""
         return int(self.attr_index.size)
 
-    def bind(self, literals: np.ndarray,
-             exprs: Sequence[BoolExpr | None]) -> PredicateBatch:
-        """Stamp the plan out for ``k`` queries with the given literals.
-
-        ``literals`` is the ``(k, n_literals)`` walk-order literal
-        matrix (row ``i`` from ``query_shape(exprs[i])``); ``exprs`` are
-        the original expressions, retained for fallback encoders and
-        error reporting.  Returns a batch equal to what
-        ``compile_batch`` would have produced for the same queries.
-        """
-        values = np.asarray(literals, dtype=np.float64)
-        if values.ndim != 2 or values.shape[1] != self.n_literals:
-            raise ValueError(
-                f"literal matrix must be (k, {self.n_literals}), "
-                f"got {values.shape}"
-            )
-        k = values.shape[0]
-        if len(exprs) != k:
-            raise ValueError(
-                f"exprs holds {len(exprs)} entries for {k} literal rows"
-            )
-        p = self.n_predicates
-        return PredicateBatch(
-            n_queries=k,
-            attributes=self.attributes,
-            query_index=np.repeat(np.arange(k, dtype=np.int64), p),
-            attr_index=np.tile(self.attr_index, k),
-            branch_index=np.tile(self.branch_index, k),
-            op_code=np.tile(self.op_code, k),
-            value=values[:, self.perm].ravel(),
-            position=np.arange(k * p, dtype=np.int64),
-            exprs=tuple(exprs),
-        )
-
 
 def stitch_plans(plans: Sequence[CompiledPlan],
-                 literal_rows: Sequence[np.ndarray],
-                 exprs: Sequence[BoolExpr | None]) -> PredicateBatch:
+                 literals: Sequence[Sequence[float]],
+                 exprs: Sequence[BoolExpr | None],
+                 indices: Sequence[np.ndarray]) -> PredicateBatch:
     """Stamp a *mixed-shape* batch out of per-query plans.
 
-    ``plans[i]`` is query ``i``'s shape plan and ``literal_rows[i]`` its
-    walk-order literal vector (from :func:`query_shape`); the plans may
-    all differ.  The result equals what ``compile_batch`` would produce
+    ``plans[i]`` is query ``i``'s shape plan; the plans may all differ.
+    ``literals[i]`` holds query ``i``'s literal values and
+    ``indices[i]`` maps each of the plan's compile slots to a position
+    in ``literals[i]``: for the walk-order vector of
+    :func:`query_shape` that index is ``plans[i].perm``, and the
+    serving layer's planned leg passes a statement's fingerprint
+    literals, in textual order, with the index that reaches them
+    directly.  The result equals what ``compile_batch`` would produce
     for the same queries — predicate rows are query-major, each query's
     rows in its plan's compile order — but is assembled purely from
-    array concatenation: no AST is walked, and unlike one
-    :meth:`CompiledPlan.bind` call per shape group, the whole batch pays
-    a single stitching pass regardless of how many distinct shapes it
-    mixes.  This is what lets a plan cache win on shape-diverse traffic
-    (every micro-batch a mix of many parameterized statements), where
-    per-group encodes would cost more than they save.
+    array concatenation: no AST is walked, every literal of the batch
+    is gathered with one ``np.fromiter`` and one fancy index, and the
+    whole batch pays a single stitching pass regardless of how many
+    distinct shapes it mixes.  This is what lets a plan cache win on
+    shape-diverse traffic (every micro-batch a mix of many
+    parameterized statements), where per-shape encodes would cost more
+    than they save.
 
     All plans must target the same feature space (equal ``attributes``).
     """
     k = len(plans)
-    if not (k == len(literal_rows) == len(exprs)):
+    if not (k == len(literals) == len(exprs) == len(indices)):
         raise ValueError(
-            f"plans/literal_rows/exprs must be parallel, got "
-            f"{k}/{len(literal_rows)}/{len(exprs)}")
+            f"plans/literals/exprs/indices must be parallel, got "
+            f"{k}/{len(literals)}/{len(exprs)}/{len(indices)}")
     if k == 0:
         raise ValueError("cannot stitch an empty batch")
     attributes = plans[0].attributes
     for plan in plans:
-        if plan.attributes != attributes:
+        if plan.attributes is not attributes \
+                and plan.attributes != attributes:
             raise ValueError(
                 "plans target different feature spaces "
                 f"({plan.attributes} != {attributes})")
-    values: list[np.ndarray] = []
-    for plan, row in zip(plans, literal_rows):
-        row = np.asarray(row, dtype=np.float64)
-        if row.shape != (plan.n_literals,):
-            raise ValueError(
-                f"literal row of shape {row.shape} for a plan with "
-                f"{plan.n_literals} literals")
-        values.append(row[plan.perm])
-    counts = np.fromiter((plan.n_predicates for plan in plans),
-                         dtype=np.int64, count=k)
+    counts = np.fromiter(map(len, indices), dtype=np.int64, count=k)
+    sizes = np.fromiter(map(len, literals), dtype=np.int64, count=k)
     total = int(counts.sum())
     if total:
+        flat = np.fromiter(itertools.chain.from_iterable(literals),
+                           dtype=np.float64, count=int(sizes.sum()))
+        slot = np.concatenate(indices)
+        if np.any(slot >= np.repeat(sizes, counts)):
+            raise ValueError("literal index out of range of its row")
+        offsets = np.cumsum(sizes) - sizes
+        value = flat[slot + np.repeat(offsets, counts)]
         attr_index = np.concatenate([plan.attr_index for plan in plans])
         branch_index = np.concatenate([plan.branch_index for plan in plans])
         op_code = np.concatenate([plan.op_code for plan in plans])
-        value = np.concatenate(values)
     else:
         attr_index = np.empty(0, dtype=np.int64)
         branch_index = np.empty(0, dtype=np.int64)

@@ -507,11 +507,20 @@ class ConjunctiveEncoding(Featurizer):
         excluded = np.zeros(starts.size, dtype=np.float64)
         ne = op == OP_NE
         if np.any(ne):
-            pairs = np.unique(
-                np.column_stack([gid[ne].astype(np.float64), values[ne]]),
-                axis=0)
-            pair_gid = pairs[:, 0].astype(np.int64)
-            pair_value = pairs[:, 1]
+            # Distinct (group, value) pairs: sort by group then value
+            # and keep each run's first row.  ``!=`` treats -0.0 and
+            # 0.0 as one value, like the scalar path's set.
+            ne_gid = gid[ne]
+            ne_value = values[ne]
+            order = np.lexsort((ne_value, ne_gid))
+            ne_gid = ne_gid[order]
+            ne_value = ne_value[order]
+            first = np.empty(order.size, dtype=bool)
+            first[0] = True
+            first[1:] = ((ne_gid[1:] != ne_gid[:-1])
+                         | (ne_value[1:] != ne_value[:-1]))
+            pair_gid = ne_gid[first]
+            pair_value = ne_value[first]
             inside = ((pair_value >= ilo[pair_gid])
                       & (pair_value <= ihi[pair_gid])
                       & (pair_value == np.floor(pair_value)))

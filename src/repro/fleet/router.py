@@ -37,7 +37,6 @@ rules.
 from __future__ import annotations
 
 import json
-import math
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -49,6 +48,7 @@ from repro.fleet.workers import WorkerHandle, WorkerPool, WorkerSupervisor
 from repro.obs.prometheus import (
     CONTENT_TYPE,
     escape_label_value,
+    format_value,
     parse_exposition,
     render_prometheus,
 )
@@ -59,23 +59,13 @@ from repro.sql.parser import fingerprint_sql
 __all__ = ["FleetRouter", "RouterServer", "merge_prometheus_pages"]
 
 
-def _format_value(value: float) -> str:
-    """Format a re-emitted sample value exactly like the renderer."""
-    value = float(value)
-    if math.isinf(value):
-        return "+Inf" if value > 0 else "-Inf"
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)
-
-
 def _relabel(name: str, labels: Mapping[str, str], value: float,
              worker: str) -> str:
     """One sample line with ``worker="<id>"`` appended to its labels."""
     merged = {**labels, "worker": worker}
     inner = ",".join(f'{key}="{escape_label_value(val)}"'
                      for key, val in merged.items())
-    return f"{name}{{{inner}}} {_format_value(value)}"
+    return f"{name}{{{inner}}} {format_value(value)}"
 
 
 def merge_prometheus_pages(pages: Mapping[str, str]) -> str:

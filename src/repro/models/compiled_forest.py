@@ -31,8 +31,9 @@ The contract is *bitwise identity* with the legacy path: for finite
 inputs ``x >= t`` is exactly ``not (x < t)``, so the traversal reaches
 the same leaves the flat trees reach, and :meth:`predict` accumulates
 ``base + lr·v₀ + lr·v₁ + …`` in the same tree order with the same
-float associativity.  ``tests/models/test_compiled_forest.py`` gates
-this, and ``repro bench predict`` measures the speedup.
+float associativity (one sequential ``np.add.accumulate``).
+``tests/models/test_compiled_forest.py`` gates this, and ``repro bench
+predict`` measures the speedup.
 """
 
 from __future__ import annotations
@@ -174,16 +175,18 @@ class CompiledForest:
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predict a batch, bitwise-identical to the legacy tree loop.
 
-        The per-tree accumulation stays a sequential vector loop on
-        purpose: ``base + lr·v₀ + lr·v₁ + …`` must associate exactly
-        like the legacy path, and ``n_trees`` vector adds are noise next
-        to the traversal.
+        ``base + lr·v₀ + lr·v₁ + …`` must associate exactly like the
+        legacy path, so the trees are summed with ``np.add.accumulate``
+        down the rows of ``[base; lr·values]``: an accumulate is a
+        strictly sequential running sum (never pairwise), in tree order,
+        and it replaces ``n_trees`` python-level vector adds with one
+        call.
         """
         values = self.leaf_values(features)
-        prediction = np.full(values.shape[1], self._base)
-        for t in range(values.shape[0]):
-            prediction += self._learning_rate * values[t]
-        return prediction
+        terms = np.empty((values.shape[0] + 1, values.shape[1]))
+        terms[0] = self._base
+        np.multiply(values, self._learning_rate, out=terms[1:])
+        return np.add.accumulate(terms, axis=0)[-1]
 
     def memory_bytes(self) -> int:
         """Footprint of the packed node tensors (incl. traversal flats)."""

@@ -41,7 +41,7 @@ from repro.obs.metrics_runtime import MetricsRegistry, get_registry
 from repro.obs.window import WindowRegistry, get_windows
 
 __all__ = ["render_prometheus", "parse_exposition", "prometheus_name",
-           "escape_label_value", "CONTENT_TYPE"]
+           "escape_label_value", "format_value", "CONTENT_TYPE"]
 
 #: The scrape Content-Type for the 0.0.4 text format.
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -71,7 +71,8 @@ def escape_label_value(value: str) -> str:
             .replace("\n", "\\n"))
 
 
-def _format_value(value: float) -> str:
+def format_value(value: float) -> str:
+    """A sample value as the exposition writes it (integers bare)."""
     value = float(value)
     if math.isinf(value):
         return "+Inf" if value > 0 else "-Inf"
@@ -89,7 +90,7 @@ def _label_string(labels: Mapping[str, str]) -> str:
 
 
 def _sample(name: str, labels: Mapping[str, str], value: float) -> str:
-    return f"{name}{_label_string(labels)} {_format_value(value)}"
+    return f"{name}{_label_string(labels)} {format_value(value)}"
 
 
 def _parse_series_labels(label_text: str, label_names: list[str]

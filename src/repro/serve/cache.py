@@ -41,7 +41,6 @@ from collections import OrderedDict
 from threading import Lock
 
 from repro import obs
-from repro.featurize.batch import CompiledPlan
 
 __all__ = ["EstimateCache", "ParseCache", "PlanCache"]
 
@@ -89,39 +88,67 @@ class _LruCache:
             return len(self._entries)
 
     def lookup(self, key):
-        """The cached value for ``key``, or ``None`` on a miss.
+        """The cached value for ``key``, or ``None`` on a miss."""
+        return self.lookup_many((key,))[0]
 
-        A hit refreshes the entry's recency.  Both outcomes are counted
-        (locally and in the global metrics registry); a disabled cache
+    def lookup_many(self, keys, repeats_hit: bool = False) -> list:
+        """The cached value (or ``None``) for each of ``keys``, in order.
+
+        One lock acquisition for the whole sequence, and each counter
+        moves once per call (locally and in the global metrics
+        registry) by the number of hits or misses.  Every key counts as
+        one probe and sees the cache as it stood when the call began; a
+        hit refreshes the entry's recency.  ``repeats_hit`` is for
+        callers that build and store each missing value before its key
+        comes up again: a missing key's repeats then count as hits, as
+        they would have had each key been looked up (and stored) in
+        turn, though they still return ``None``.  A disabled cache
         counts nothing.
         """
         if not self._max_size:
-            return None
+            return [None] * len(keys)
+        entries = self._entries
+        missing: set = set()
+        hits = 0
         with self._lock:
-            value = self._entries.get(key)
-            if value is None:
-                self._misses += 1
-            else:
-                self._entries.move_to_end(key)
-                self._hits += 1
+            values = [entries.get(key) for key in keys]
+            for key, value in zip(keys, values):
+                if value is not None:
+                    entries.move_to_end(key)
+                    hits += 1
+                elif repeats_hit:
+                    if key in missing:
+                        hits += 1
+                    else:
+                        missing.add(key)
+            misses = len(values) - hits
+            self._hits += hits
+            self._misses += misses
         registry = obs.get_registry()
-        if value is None:
-            registry.counter(self._misses_metric).inc()
-        else:
-            registry.counter(self._hits_metric).inc()
-        return value
+        if hits:
+            registry.counter(self._hits_metric).inc(hits)
+        if misses:
+            registry.counter(self._misses_metric).inc(misses)
+        return values
 
     def store(self, key, value) -> None:
         """Insert (or refresh) a value, evicting the LRU entry if full."""
+        self.store_many(((key, value),))
+
+    def store_many(self, items) -> None:
+        """Insert (or refresh) ``(key, value)`` pairs in order under one
+        lock; each insert evicts the LRU entry if the cache is full."""
         if not self._max_size:
             return
+        entries = self._entries
         evicted = 0
         with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self._max_size:
-                self._entries.popitem(last=False)
-                evicted += 1
+            for key, value in items:
+                entries[key] = value
+                entries.move_to_end(key)
+                if len(entries) > self._max_size:
+                    entries.popitem(last=False)
+                    evicted += 1
             self._evictions += evicted
         if evicted:
             obs.get_registry().counter(self._evictions_metric).inc(evicted)
@@ -155,9 +182,10 @@ class EstimateCache(_LruCache):
     def __init__(self, max_size: int = 1024) -> None:
         super().__init__(max_size)
 
-    def store(self, key: tuple, estimate: float) -> None:
-        """Insert (or refresh) an estimate, evicting the LRU if full."""
-        super().store(key, float(estimate))
+    def store_many(self, items) -> None:
+        """Insert (or refresh) ``(key, estimate)`` pairs as floats."""
+        super().store_many([(key, float(estimate))
+                            for key, estimate in items])
 
 
 class ParseCache(_LruCache):
@@ -194,7 +222,3 @@ class PlanCache(_LruCache):
 
     def __init__(self, max_size: int = 256) -> None:
         super().__init__(max_size)
-
-    def store(self, key: tuple, plan: CompiledPlan) -> None:
-        """Insert (or refresh) a plan, evicting the LRU entry if full."""
-        super().store(key, plan)

@@ -10,18 +10,22 @@ removes all three taxes for estimators that support it:
    (:func:`repro.featurize.batch.query_shape`: boolean structure with
    numeric literals masked) and resolves a
    :class:`~repro.featurize.batch.CompiledPlan` from the shape-keyed
-   :class:`~repro.serve.cache.PlanCache`; only a never-seen shape pays
-   an AST compile.  This is also where a statement is validated, so
-   the serving layer prepares in the request thread and only
+   :class:`~repro.serve.cache.PlanCache`, one probe per request
+   (:meth:`FusedEstimatePath.prepare_many`); only a never-seen shape
+   pays an AST compile.  This is also where a statement is validated,
+   so the serving layer prepares in the request thread and only
    validated :class:`PreparedStatement` items reach the execute stage.
+   Preparing does no numpy work: a prepared statement carries its
+   literals as given plus an index array into them.
 2. **encode** — the whole batch, however many distinct shapes it
    mixes, is stamped out in one plan-stitching pass
    (:meth:`~repro.featurize.base.Featurizer.encode_with_plans`:
-   concatenate the plans' predicate columns, gather the literal
-   vectors into place) and encoded in a single vectorized call.  No
-   per-shape encode, no per-query anything — stitching is what lets
-   plan caching win on shape-diverse traffic, where one encode call
-   per shape group would cost more than the compile pass it saves.
+   concatenate the plans' predicate columns, gather every literal of
+   the batch into place with one ``np.fromiter`` and one fancy index)
+   and encoded in a single vectorized call.  No per-shape encode, no
+   per-query anything — stitching is what lets plan caching win on
+   shape-diverse traffic, where one encode call per shape group would
+   cost more than the compile pass it saves.
 3. **predict** — the matrix goes through the estimator's
    ``estimate_features`` in a single call, which for gradient boosting
    runs the packed :class:`~repro.models.compiled_forest.CompiledForest`
@@ -33,14 +37,15 @@ Encode and predict emit spans (``serve.fused.encode`` /
 suite and ``repro bench serve`` both assert it.
 
 A statement reaches the execute stage (:meth:`estimate_planned`) by
-one of two legs.  The **bound leg** prepares a parsed query
-(:meth:`prepare`).  The **SQL-direct planned leg** skips the AST: a
+one of two legs.  The **bound leg** prepares a parsed query: its
+literals are the walk-order vector of ``query_shape`` and its index
+the plan's ``perm``.  The **SQL-direct planned leg** skips the AST: a
 statement template the parse cache has already seen is shape-compiled
-once into a :class:`PlannedStatement` (shape key + walk-order literal
-permutation), and each instance's fingerprint literals are gathered
-straight into its literal vector (:meth:`prepare_planned`).  The
-planned leg is available only for featurizers whose encode stage
-ignores ``batch.exprs``
+once into a :class:`PlannedStatement` (shape key + an index from the
+plan's compile slots straight into the fingerprint literals), and each
+instance carries its fingerprint literal tuple untouched
+(:meth:`prepare_planned`).  The planned leg is available only for
+featurizers whose encode stage ignores ``batch.exprs``
 (:attr:`~repro.featurize.base.Featurizer.encode_uses_exprs` is
 ``False``), because it has no per-query expressions to give it.
 
@@ -76,14 +81,14 @@ class PlannedStatement:
     :meth:`FusedEstimatePath.plan_statement` and held in the serve
     layer's parse cache next to the re-bindable AST template.  An
     instance of the statement then rides the SQL-direct leg: its
-    fingerprint literals, gathered through :attr:`perm`, go straight
-    into the stitched encode without a bound AST ever existing.
+    fingerprint literals go straight into the stitched encode, gathered
+    through :attr:`perm`, without a bound AST ever existing.
     """
 
     #: The statement's shape key — equal to every instance's key, since
     #: :func:`~repro.featurize.batch.query_shape` masks literal values.
     shape_key: tuple
-    #: Gather permutation: walk-order literal slot -> fingerprint
+    #: Gather index: compile slot of the shape's plan -> fingerprint
     #: (textual) literal index of the statement.
     perm: np.ndarray
     #: The template's validated WHERE expression; recompiles the plan
@@ -96,8 +101,11 @@ class PreparedStatement(NamedTuple):
 
     #: The statement's resolved shape plan.
     plan: CompiledPlan
-    #: Walk-order literal vector (``plan.n_literals`` values).
-    literals: np.ndarray
+    #: The instance's literals as given: the fingerprint tuple on the
+    #: planned leg, the walk-order vector on the bound leg.
+    literals: Sequence[float]
+    #: Compile slot of ``plan`` -> position in :attr:`literals`.
+    index: np.ndarray
     #: The bound WHERE expression (``None`` on the planned leg, whose
     #: encode ignores it).
     expr: BoolExpr | None
@@ -108,10 +116,10 @@ class FusedEstimatePath:
 
     Build via :meth:`try_build`.  :meth:`estimate_batch` stands in for
     ``estimator.estimate_batch``; the serving layer instead prepares
-    each statement itself and hands the prepared batch to
-    :meth:`estimate_planned`.  Thread safety matches the underlying
-    pieces: the plan cache is locked, encode and predict are pure, so
-    concurrent calls are safe.
+    each request's statements itself (:meth:`prepare_many`) and hands
+    the prepared batch to :meth:`estimate_planned`.  Thread safety
+    matches the underlying pieces: the plan cache is locked, encode and
+    predict are pure, so concurrent calls are safe.
     """
 
     def __init__(self, estimator: CardinalityEstimator,
@@ -156,64 +164,80 @@ class FusedEstimatePath:
         """
         return not self._featurizer.encode_uses_exprs
 
-    def plan_statement(self, template: Query) -> PlannedStatement | None:
+    def plan_statement(self, template: Query,
+                       plan: CompiledPlan) -> PlannedStatement | None:
         """Shape-compile a parsed statement template, or ``None``.
 
-        ``None`` marks the statement as outside the planned class: the
-        featurizer rejects it (wrong table, unknown attribute, a query
-        class the QFT cannot represent) or its encode stage needs the
-        bound expressions.  Instances of such statements simply take
-        the bound leg, where the same validation raises per request.
-        Eligible statements also warm the plan cache here, so their
-        first instance already hits.
+        ``plan`` is the plan an instance of the template was prepared
+        with (:meth:`prepare_many`), so the template has passed
+        validation already.  ``None`` marks a featurizer whose encode
+        stage needs the bound expressions: instances then take the
+        bound leg.
         """
         if not self.supports_planned_statements:
             return None
-        try:
-            expr = self._featurizer.extract_expr(template)
-            # The template's literal slots hold their own textual
-            # indices (make_template), so the masked key equals every
-            # instance's key and the walk-order literal vector *is*
-            # the walk -> fingerprint permutation.
-            key, sentinel = query_shape(expr)
-            self._plan(key, expr)
-        except (ValueError, TypeError, KeyError):
-            return None
+        expr = self._featurizer.extract_expr(template)
+        # The template's literal slots hold their own textual indices
+        # (make_template), so the masked key equals every instance's
+        # key and the walk-order literal vector *is* the walk ->
+        # fingerprint permutation; the plan's perm composes it with
+        # compile order.
+        key, sentinel = query_shape(expr)
         return PlannedStatement(shape_key=key,
-                                perm=sentinel.astype(np.int64), expr=expr)
+                                perm=sentinel.astype(np.int64)[plan.perm],
+                                expr=expr)
 
-    def prepare(self, query: Query) -> PreparedStatement:
-        """Validate a bound query and resolve its plan (the bound leg).
+    def prepare_many(self, items: Sequence) -> list[PreparedStatement]:
+        """Validate a request's statements and resolve their plans.
 
-        Raises the per-query validation errors ``estimate_batch``
-        raises for the same query (wrong table, unknown attribute,
-        unsupported query class).
+        Each item is a bound :class:`~repro.sql.ast.Query` (the bound
+        leg) or a ``(PlannedStatement, fingerprint literals)`` pair (the
+        planned leg).  Every bound query is extracted before any plan
+        compiles, as ``compile_batch`` does, and the plan cache is
+        probed once for the whole request.  Raises the per-query
+        validation errors ``estimate_batch`` raises for the same
+        queries (wrong table, unknown attribute, unsupported query
+        class); planned items never raise, since their template passed
+        validation when it was planned.
         """
-        return self._prepare_expr(self._featurizer.extract_expr(query))
+        keys: list[tuple] = []
+        exprs: list[BoolExpr | None] = []
+        literals: list = []
+        for item in items:
+            if isinstance(item, Query):
+                expr = self._featurizer.extract_expr(item)
+                key, walk = query_shape(expr)
+            else:
+                planned, walk = item
+                key, expr = planned.shape_key, planned.expr
+            keys.append(key)
+            exprs.append(expr)
+            literals.append(walk)
+        plans = self._plans(keys, exprs)
+        return [PreparedStatement(plan, row, plan.perm, expr)
+                if isinstance(item, Query)
+                else self.prepare_planned(item[0], row, plan)
+                for item, plan, row, expr in zip(items, plans, literals,
+                                                  exprs)]
 
     def prepare_planned(self, statement: PlannedStatement,
-                        literals: Sequence[float]) -> PreparedStatement:
-        """Prepare an instance of a planned statement (the planned leg).
+                        literals: Sequence[float],
+                        plan: CompiledPlan) -> PreparedStatement:
+        """One instance of a planned statement (the planned leg).
 
         ``literals`` are the instance's fingerprint literals in textual
-        order; they are gathered to walk order through the statement's
-        permutation.  Never raises: the template passed validation when
-        it was planned.
+        order, kept as given: the execute stage gathers them into
+        compile order through the statement's :attr:`~PlannedStatement.perm`.
         """
-        row = np.asarray(literals, dtype=np.float64)[statement.perm]
-        return PreparedStatement(self._plan(statement.shape_key,
-                                            statement.expr), row, None)
+        return PreparedStatement(plan, literals, statement.perm, None)
 
     def estimate_batch(self, queries: Sequence[Query]) -> np.ndarray:
         """Estimate a batch of bound queries through the fused pipeline.
 
         Results are bitwise-identical to
-        ``estimator.estimate_batch(queries)``, and so are the errors:
-        every query is extracted before any plan compiles, as
-        ``compile_batch`` does.
+        ``estimator.estimate_batch(queries)``, and so are the errors.
         """
-        exprs = [self._featurizer.extract_expr(q) for q in queries]
-        return self.estimate_planned([self._prepare_expr(e) for e in exprs])
+        return self.estimate_planned(self.prepare_many(queries))
 
     def estimate_planned(self, statements: Sequence[PreparedStatement]
                          ) -> np.ndarray:
@@ -227,24 +251,36 @@ class FusedEstimatePath:
         k = len(statements)
         if k == 0:
             return np.empty(0, dtype=np.float64)
+        plans, literals, indices, exprs = zip(*statements)
         with obs.span("serve.fused.encode", n_queries=k):
             matrix = self._featurizer.encode_with_plans(
-                [s.plan for s in statements],
-                [s.literals for s in statements],
-                [s.expr for s in statements])
+                plans, literals, exprs, indices)
         with obs.span("serve.fused.predict", n_queries=k,
                       metric="serve.fused.predict.seconds"):
             return self._estimator.estimate_features(matrix)
 
-    def _prepare_expr(self, expr: BoolExpr | None) -> PreparedStatement:
-        key, literals = query_shape(expr)
-        return PreparedStatement(self._plan(key, expr), literals, expr)
+    def _plans(self, keys: list[tuple],
+               exprs: list[BoolExpr | None]) -> list[CompiledPlan]:
+        """Each statement's plan, from one plan-cache probe.
 
-    def _plan(self, key: tuple, expr: BoolExpr | None) -> CompiledPlan:
-        """The cached plan of shape ``key``, compiled from ``expr`` on a
-        miss (which raises the featurizer's compile-time errors)."""
-        plan = self._plan_cache.lookup(key)
-        if plan is None:
-            plan = self._featurizer.compile_plan(expr)
-            self._plan_cache.store(key, plan)
-        return plan
+        A shape the cache lacks compiles from its first statement's
+        expression (raising the featurizer's compile-time errors); the
+        shape's later statements reuse that plan and count as hits,
+        as they would have had each statement probed in turn.  Plans
+        compiled before an error are still stored.
+        """
+        plans = self._plan_cache.lookup_many(keys, repeats_hit=True)
+        compiled: dict[tuple, CompiledPlan] = {}
+        try:
+            for position, plan in enumerate(plans):
+                if plan is None:
+                    key = keys[position]
+                    plan = compiled.get(key)
+                    if plan is None:
+                        plan = self._featurizer.compile_plan(exprs[position])
+                        compiled[key] = plan
+                    plans[position] = plan
+        finally:
+            if compiled:
+                self._plan_cache.store_many(compiled.items())
+        return plans

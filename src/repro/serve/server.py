@@ -154,20 +154,25 @@ class EstimationService:
 
     Every entry point — :meth:`estimate` (one statement, through the
     micro-batcher), :meth:`estimate_many_sql` (a client batch) and the
-    re-estimate in :meth:`feedback` — runs the same steps per
-    statement:
+    re-estimate in :meth:`feedback` — runs the same steps, each once
+    per request rather than once per statement:
 
-    1. ``fingerprint_sql`` once: ``(fingerprint, literals)``;
-    2. probe the :class:`~repro.serve.cache.EstimateCache` on that pair;
-    3. on a miss, prepare the statement in the request thread: a seen
-       fingerprint yields its planned statement (SQL-direct leg, no
-       AST) or re-binds its cached template, a first-seen statement is
-       parsed; then the fused path validates and plans it.  A bad
+    1. ``fingerprint_sql`` per statement: ``(fingerprint, literals)``;
+    2. one :class:`~repro.serve.cache.EstimateCache` probe on those
+       pairs;
+    3. prepare the misses in the request thread: one parse-cache probe
+       (a seen fingerprint yields its planned statement — SQL-direct
+       leg, no AST — or re-binds its cached template, a first-seen
+       statement is parsed), then the fused path validates them and
+       resolves their plans with one plan-cache probe.  A bad
        statement fails here, alone;
     4. execute every miss of the request in one call — the fused
        path's ``estimate_planned`` (or, for estimators without a fused
        path, their own ``estimate_batch``);
-    5. store the misses' estimates in the estimate cache.
+    5. store the misses' estimates in the estimate cache, in one call.
+
+    Cache counters keep per-statement meaning: every statement counts
+    as one hit or one miss at each rung it reaches.
 
     Parameters
     ----------
@@ -362,64 +367,77 @@ class EstimationService:
         inline as one batch, unless ``single`` carries the telemetry of
         a one-statement request, whose miss rides the micro-batcher.
         """
-        results = [0.0] * len(sqls)
-        positions: list[int] = []
-        items: list = []
-        for position, (sql, key) in enumerate(zip(sqls, keyed)):
-            cached = self._cache.lookup(key)
-            if cached is not None:
-                results[position] = cached
-            else:
-                positions.append(position)
-                items.append(self._prepare(sql, *key))
-        if items:
+        results = self._cache.lookup_many(keyed)
+        positions = [i for i, cached in enumerate(results) if cached is None]
+        if positions:
+            items = self._prepare([sqls[i] for i in positions],
+                                  [keyed[i] for i in positions])
             estimates = (self._submit(items[0], single) if single is not None
                          else self._execute(items))
-            for position, estimate in zip(positions, estimates):
-                value = float(estimate)
-                self._cache.store(keyed[position], value)
+            stored = [(keyed[i], float(estimate))
+                      for i, estimate in zip(positions, estimates)]
+            self._cache.store_many(stored)
+            for position, (_, value) in zip(positions, stored):
                 results[position] = value
         if single is not None:
-            single.cache = "miss" if items else "hit"
+            single.cache = "miss" if positions else "hit"
             single.estimate = results[0]
         return results
 
-    def _prepare(self, sql: str, fingerprint: str,
-                 literals: tuple[float, ...]):
-        """Turn one statement into an item of the execute stage.
+    def _prepare(self, sqls: list[str],
+                 keyed: list[tuple[str, tuple[float, ...]]]) -> list:
+        """Turn a request's cache misses into items of the execute stage.
 
-        Raises the request's 4xx errors (syntax, unsupported query,
-        unknown attribute, wrong table) in the calling thread.
+        One parse-cache probe for the request: a seen statement yields
+        its planned statement (SQL-direct leg, no AST) or re-binds its
+        cached template; a first-seen statement is parsed once, and
+        its repeats in the request re-bind its template.  Raises the
+        request's 4xx errors (syntax, unsupported query, unknown
+        attribute, wrong table) in the calling thread.
         """
-        statement = self._parse_cache.lookup(fingerprint)
-        if statement is None:
-            query = parse_query(sql)
-            self._remember_statement(fingerprint, query, literals)
-        elif statement.planned is not None:
-            return self._fused.prepare_planned(statement.planned, literals)
-        else:
-            # Statements sharing a fingerprint differ only in literal
-            # text, so the literal count always matches the template's.
-            query = bind_template(statement.template, literals)
-        return query if self._fused is None else self._fused.prepare(query)
+        statements = self._parse_cache.lookup_many(
+            [fingerprint for fingerprint, _ in keyed], repeats_hit=True)
+        # First-seen cacheable fingerprint -> (template, its item index).
+        fresh: dict[str, tuple[Query, int]] = {}
+        items: list = []
+        for sql, (fingerprint, literals), statement in zip(sqls, keyed,
+                                                          statements):
+            if statement is not None and statement.planned is not None:
+                items.append((statement.planned, literals))
+            elif statement is not None or fingerprint in fresh:
+                template = (statement.template if statement is not None
+                            else fresh[fingerprint][0])
+                # Statements sharing a fingerprint differ only in literal
+                # text, so the literal count always matches the template's.
+                items.append(bind_template(template, literals))
+            else:
+                query = parse_query(sql)
+                template = (make_template(query, literals)
+                            if self._parse_cache.enabled else None)
+                if template is not None:
+                    fresh[fingerprint] = (template, len(items))
+                items.append(query)
+        if self._fused is not None:
+            items = self._fused.prepare_many(items)
+        if fresh:
+            self._remember_statements(fresh, items)
+        return items
 
-    def _remember_statement(self, fingerprint: str, query: Query,
-                            literals: tuple[float, ...]) -> None:
-        """Template-ize a first-seen statement into the parse cache.
+    def _remember_statements(self, fresh: dict, items: list) -> None:
+        """Store a request's first-seen statement templates in the parse
+        cache, each with its planned form when the fused path can plan
+        it (from the plan its instance was prepared with).
 
-        Stores the re-bindable template together with its planned form
-        (when the fused path can shape-compile it); statements whose
-        round-trip self-check fails stay uncached and every instance
-        parses from scratch.
+        Statements whose template round-trip self-check failed stay
+        uncached and every instance parses from scratch.
         """
-        if not self._parse_cache.enabled:
-            return
-        template = make_template(query, literals)
-        if template is None:
-            return
-        planned = (self._fused.plan_statement(template)
-                   if self._fused is not None else None)
-        self._parse_cache.store(fingerprint, _Statement(template, planned))
+        stored = []
+        for fingerprint, (template, position) in fresh.items():
+            planned = (self._fused.plan_statement(template,
+                                                  items[position].plan)
+                       if self._fused is not None else None)
+            stored.append((fingerprint, _Statement(template, planned)))
+        self._parse_cache.store_many(stored)
 
     def _submit(self, item, telemetry: _RequestTelemetry) -> list[float]:
         """Run one prepared item through the micro-batcher.

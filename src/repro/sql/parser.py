@@ -48,6 +48,10 @@ class SqlSyntaxError(ValueError):
     """Raised for malformed SQL input."""
 
 
+# ``re.ASCII``: numerals and identifiers are ASCII-only.  Under
+# Unicode matching ``\d`` (and ``float``) would accept other scripts'
+# digits, serving ``A1 >= ١٢`` as ``A1 >= 12``; such input is a syntax
+# error instead.
 _TOKEN_RE = re.compile(
     r"""
     \s*(?:
@@ -58,7 +62,7 @@ _TOKEN_RE = re.compile(
       | (?P<punct>[(),*])                    # punctuation
     )
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
 
 _KEYWORDS = {"select", "count", "from", "where", "group", "by", "and", "or",
@@ -298,11 +302,16 @@ def parse_query(sql: str) -> Query:
 # Matches string literals (kept verbatim, so numbers inside quotes are
 # never masked) or standalone numeric literals.  The lookbehind keeps
 # digits inside identifiers like ``attr_3`` or ``t1.col`` intact; in
-# this grammar every standalone number is a predicate literal.
-_LITERAL_RE = re.compile(r"'[^']*'|(?<![\w.])-?\d+(?:\.\d+)?")
+# this grammar every standalone number is a predicate literal.  The
+# ``(?=[-0-9])`` lookahead rejects most positions with one character
+# test before the lookbehind runs, and ``re.ASCII`` keeps the numerals
+# the tokenizer's (see ``_TOKEN_RE``).
+_LITERAL_RE = re.compile(r"'[^']*'|(?=[-0-9])(?<![\w.])-?\d+(?:\.\d+)?",
+                         re.ASCII)
 # The same numeric literal inside a capture group: ``split`` then
 # alternates text and literal pieces in one scan.
-_NUMBER_SPLIT_RE = re.compile(r"((?<![\w.])-?\d+(?:\.\d+)?)")
+_NUMBER_SPLIT_RE = re.compile(r"((?=[-0-9])(?<![\w.])-?\d+(?:\.\d+)?)",
+                              re.ASCII)
 
 
 def fingerprint_sql(sql: str) -> tuple[str, tuple[float, ...]]:

@@ -104,7 +104,7 @@ class TestEdgeCases:
 class TestPlanEncodeEquivalence:
     """Shape plans are an exact re-packaging of the compile stage.
 
-    ``compile_plan`` + ``encode_with_plan(s)`` must reproduce
+    ``compile_plan`` + ``encode_with_plans`` must reproduce
     ``featurize_batch`` bitwise — same-shape binds, mixed-shape
     stitching, predicate-free queries — for every QFT.  This is the
     contract the serving layer's plan cache and SQL-direct planned
@@ -123,7 +123,8 @@ class TestPlanEncodeEquivalence:
                 plans[key] = featurizer.compile_plan(expr)
             per_query.append(plans[key])
         return featurizer.encode_with_plans(
-            per_query, [literals for _, literals in shaped], exprs)
+            per_query, [literals for _, literals in shaped], exprs,
+            [plan.perm for plan in per_query])
 
     def test_stitched_encode_matches_batch_every_qft(
             self, small_forest, conjunctive_workload):
@@ -155,7 +156,8 @@ class TestPlanEncodeEquivalence:
         plan = featurizer.compile_plan(expr)
         rows = np.stack([literals, literals * 0.5, literals + 1.0])
         exprs = [expr] * 3  # encode ignores them; shape bookkeeping only
-        matrix = featurizer.encode_with_plan(plan, rows, exprs)
+        matrix = featurizer.encode_with_plans([plan] * 3, rows, exprs,
+                                              [plan.perm] * 3)
         # Scalar cross-check on the first row (identical literals).
         assert np.array_equal(matrix[0], featurizer.featurize(query))
 
@@ -168,11 +170,88 @@ class TestPlanEncodeEquivalence:
             max_partitions=16)
         plan = other.compile_plan(None)
         with pytest.raises(ValueError, match="different feature space"):
-            featurizer.encode_with_plans([plan], [np.empty(0)], [None])
+            featurizer.encode_with_plans([plan], [np.empty(0)], [None],
+                                         [plan.perm])
         with pytest.raises(ValueError, match="parallel"):
-            stitch_plans([plan], [], [None])
+            stitch_plans([plan], [], [None], [plan.perm])
         with pytest.raises(ValueError, match="empty batch"):
-            stitch_plans([], [], [])
+            stitch_plans([], [], [], [])
+        shaped = featurizer.compile_plan(conjunctive_workload.queries[0])
+        with pytest.raises(ValueError, match="out of range"):
+            stitch_plans([shaped], [np.zeros(shaped.n_literals - 1)],
+                         [None], [shaped.perm])
+
+
+class TestExclusionDedupe:
+    """``<>`` exclusions are counted distinct per (query, attribute,
+    branch) group: the batch dedupe must agree with the scalar path's
+    set bitwise on repeats, signed zeros, non-integral and out-of-domain
+    values."""
+
+    CONJUNCTIVE = [
+        # Repeated <> literals, inside the folded interval.
+        "A1 >= 2000 AND A1 <= 3000 AND A1 <> 2500 AND A1 <> 2500 "
+        "AND A1 <> 2600 AND A1 <> 2500",
+        # -0 next to 0 (one value to the scalar set).
+        "A5 >= -10 AND A5 <= 10 AND A5 <> 0 AND A5 <> -0",
+        "A5 <> -0 AND A5 <> 0 AND A5 <> -0 AND A11 <> 0 AND A11 <> -0",
+        # Non-integral <> values on integral domains.
+        "A1 > 2000 AND A1 <> 2500.5 AND A1 <> 2500 AND A1 <> 2500.5",
+        # Out-of-domain <> values, below and above.
+        "A1 <> 99999 AND A1 <> -3 AND A1 <> 99999 AND A5 <> -171",
+        # Exclusions outside the folded interval, and an empty one.
+        "A2 >= 10 AND A2 <= 20 AND A2 <> 5 AND A2 <> 25 AND A2 <> 15",
+        "A3 = 7 AND A3 <> 7 AND A3 <> 7",
+        # The same value excluded on two attributes.
+        "A2 <> 7 AND A3 <> 7 AND A2 <> 7 AND A3 <> 8",
+    ]
+    MIXED = [
+        "(A1 <> 2500 AND A1 <> 2500 OR A1 <> -0 AND A1 > 3000) "
+        "AND A5 <> 0 AND A5 <> -0",
+        "(A5 <> 0.5 AND A5 <> 0.5 OR A5 <> 999 OR A5 <> 0 AND A5 <> -0) "
+        "AND A2 <> 3",
+        "A2 <> 3 AND A2 <> 3 OR A2 >= 100 AND A2 <> 3",
+    ]
+
+    @staticmethod
+    def parse(texts):
+        from repro.sql.parser import parse_where
+        return [parse_where(text) for text in texts]
+
+    def assert_matches(self, featurizer, exprs, label):
+        batch = featurizer.featurize_batch(exprs)
+        expected = scalar_matrix(featurizer, exprs)
+        assert np.array_equal(batch, expected), label
+        # Also alone: each statement as its own batch.
+        for expr in exprs:
+            assert np.array_equal(featurizer.featurize_batch([expr])[0],
+                                  featurizer.featurize(expr)), label
+
+    def test_conjunctive_and_equidepth(self, small_forest):
+        exprs = self.parse(self.CONJUNCTIVE)
+        for featurizer in (
+                ConjunctiveEncoding(small_forest, max_partitions=16),
+                EquiDepthConjunctiveEncoding(small_forest,
+                                             max_partitions=16)):
+            self.assert_matches(featurizer, exprs,
+                                type(featurizer).__name__)
+
+    @pytest.mark.parametrize("merge", ["max", "sum"])
+    def test_disjunction(self, small_forest, merge):
+        exprs = self.parse(self.CONJUNCTIVE + self.MIXED)
+        featurizer = DisjunctionEncoding(small_forest, max_partitions=16,
+                                         merge=merge)
+        self.assert_matches(featurizer, exprs, merge)
+
+    def test_exclusions_are_counted_once(self, small_forest):
+        featurizer = ConjunctiveEncoding(small_forest, max_partitions=16)
+        once, twice, signed = featurizer.featurize_batch(self.parse([
+            "A5 >= -10 AND A5 <= 10 AND A5 <> 0",
+            "A5 >= -10 AND A5 <= 10 AND A5 <> 0 AND A5 <> 0",
+            "A5 >= -10 AND A5 <= 10 AND A5 <> 0 AND A5 <> -0",
+        ]))
+        assert np.array_equal(once, twice)
+        assert np.array_equal(once, signed)
 
 
 class TestLosslessnessParity:

@@ -69,6 +69,40 @@ class TestBitwiseEquivalence:
                                       legacy_predict(model, extremes))
 
 
+def per_tree_sum(forest, X):
+    """The sequential per-tree accumulation ``predict`` replaced."""
+    values = forest.leaf_values(X)
+    prediction = np.full(values.shape[1], forest.base)
+    for t in range(values.shape[0]):
+        prediction += forest.learning_rate * values[t]
+    return prediction
+
+
+class TestAccumulateSum:
+    """``predict``'s one ``np.add.accumulate`` over ``[base; lr·values]``
+    against the per-tree vector loop it replaced."""
+
+    @pytest.mark.parametrize("n_rows", [1, 8, 64])
+    def test_matches_per_tree_loop_bitwise(self, n_rows):
+        model, X = fitted_model(n_estimators=30, seed=13,
+                                learning_rate=0.1)
+        forest = model.compile()
+        rows = X[:n_rows]
+        np.testing.assert_array_equal(forest.predict(rows),
+                                      per_tree_sum(forest, rows))
+        np.testing.assert_array_equal(forest.predict(rows),
+                                      legacy_predict(model, rows))
+
+    def test_one_tree_forest(self):
+        model, X = fitted_model(n_estimators=1, seed=17)
+        forest = model.compile()
+        assert forest.n_trees == 1
+        np.testing.assert_array_equal(forest.predict(X[:64]),
+                                      per_tree_sum(forest, X[:64]))
+        np.testing.assert_array_equal(forest.predict(X[:1]),
+                                      legacy_predict(model, X[:1]))
+
+
 class TestStructure:
     def test_shapes_and_counters(self):
         model, _ = fitted_model()

@@ -120,3 +120,72 @@ class TestThreadSafety:
         assert len(cache) <= 32
         stats = cache.stats()
         assert stats["hits"] + stats["misses"] == 8 * 300
+
+
+class TestLookupMany:
+    """One locked pass per call, with per-key counter meaning."""
+
+    def test_matches_sequential_lookups(self):
+        keys = ["a", "b", "a", "z", "c", "z"]
+        batched, sequential = EstimateCache(max_size=3), EstimateCache(
+            max_size=3)
+        for cache in (batched, sequential):
+            cache.store_many([("a", 1.0), ("b", 2.0), ("c", 3.0)])
+        assert batched.lookup_many(keys) == [
+            sequential.lookup(key) for key in keys]
+        assert batched.stats() == sequential.stats()
+        # Recency moved the same way: "b" is now the LRU entry.
+        for cache in (batched, sequential):
+            cache.store("d", 4.0)
+        assert batched.lookup_many(["b", "a", "c", "d"]) == [
+            None, 1.0, 3.0, 4.0]
+        assert sequential.stats()["evictions"] == 1
+        assert batched.stats()["evictions"] == 1
+
+    def test_repeats_hit_counts_a_missing_keys_repeats_as_hits(self):
+        cache = EstimateCache(max_size=8)
+        cache.store("a", 1.0)
+        values = cache.lookup_many(["x", "a", "x", "y", "x", "a"],
+                                   repeats_hit=True)
+        assert values == [None, 1.0, None, None, None, 1.0]
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"]) == (4, 2)
+
+    def test_store_many_evicts_like_sequential_stores(self):
+        pairs = [("a", 1.0), ("b", 2.0), ("a", 3.0), ("c", 4.0),
+                 ("d", 5.0), ("a", 6.0)]
+        batched, sequential = EstimateCache(max_size=2), EstimateCache(
+            max_size=2)
+        batched.store_many(pairs)
+        for key, value in pairs:
+            sequential.store(key, value)
+        assert batched.stats() == sequential.stats()
+        assert batched.lookup_many(["a", "b", "c", "d"]) == \
+            sequential.lookup_many(["a", "b", "c", "d"]) == \
+            [6.0, None, None, 5.0]
+
+    def test_registry_moves_once_per_call(self, monkeypatch):
+        obs.reset()
+        cache = EstimateCache(max_size=4)
+        cache.store("a", 1.0)
+        registry = obs.get_registry()
+        resolved: list[str] = []
+        original = registry.counter
+
+        def counting(name, *args, **kwargs):
+            resolved.append(name)
+            return original(name, *args, **kwargs)
+
+        monkeypatch.setattr(registry, "counter", counting)
+        cache.lookup_many(["a", "b", "a", "c", "b"])
+        assert sorted(resolved) == ["serve.cache.hits", "serve.cache.misses"]
+        snapshot = registry.snapshot()
+        assert snapshot["serve.cache.hits"]["value"] == 2
+        assert snapshot["serve.cache.misses"]["value"] == 3
+
+    def test_disabled_cache_returns_misses_and_counts_nothing(self):
+        cache = EstimateCache(max_size=0)
+        cache.store_many([("a", 1.0)])
+        assert cache.lookup_many(["a", "a"], repeats_hit=True) == [None,
+                                                                   None]
+        assert cache.stats()["hits"] == cache.stats()["misses"] == 0

@@ -7,7 +7,8 @@ must answer bitwise-equal to ``estimator.estimate_batch([parse_query(sql)])``
 for first-seen, re-seen, repeated and re-spelled statements alike.
 Also covers the one-pipeline properties: the planned leg serves
 re-seen statements with the cache on, literal spellings share one
-cache entry, and a bad statement fails only its own request.
+cache entry, a bad statement fails only its own request, and the
+once-per-request cache ladder keeps per-statement counter meaning.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ import threading
 
 import pytest
 
+from repro import obs
 from repro.cli import build_parser
 from repro.estimators import LearnedEstimator
 from repro.featurize import ConjunctiveEncoding, DisjunctionEncoding
+from repro.featurize.batch import query_shape
 from repro.fleet import LocalWorker
 from repro.models import GradientBoostingRegressor
 from repro.serve import (
@@ -233,3 +236,136 @@ class TestOnePipeline:
         assert isinstance(outcomes["bad"], ServeClientError)
         assert outcomes["bad"].status == 400
         assert "unknown attribute 'Ghost'" in str(outcomes["bad"])
+
+
+def ladder_stats(service) -> dict:
+    return {"estimate": service.cache.stats(),
+            "parse": service.parse_cache.stats(),
+            "plan": service.plan_cache.stats()}
+
+
+def ladder_counters() -> dict:
+    snapshot = obs.get_registry().snapshot()
+    return {rung: {outcome: snapshot.get(f"{prefix}.{outcome}",
+                                         {"value": 0})["value"]
+                   for outcome in ("hits", "misses")}
+            for rung, prefix in (("estimate", "serve.cache"),
+                                 ("parse", "serve.parse_cache"),
+                                 ("plan", "serve.plan_cache"))}
+
+
+def distinct_shapes(estimator, workload, count: int) -> list[str]:
+    """``count`` statements of pairwise distinct shapes (and so
+    distinct fingerprints)."""
+    featurizer = estimator.featurizer
+    chosen, shapes = [], set()
+    for query in workload.queries:
+        key, _ = query_shape(featurizer.extract_expr(query))
+        if key not in shapes:
+            shapes.add(key)
+            chosen.append(query.to_sql())
+        if len(chosen) == count:
+            return chosen
+    raise AssertionError("workload has too few distinct shapes")
+
+
+class TestRequestCacheLadder:
+    """Each cache is probed once per request, yet every statement still
+    counts as one hit or one miss at each rung it reaches."""
+
+    def test_counters_keep_per_statement_meaning(self, serve_estimator,
+                                                 conjunctive_workload):
+        seen, reseen, first = distinct_shapes(serve_estimator,
+                                              conjunctive_workload, 3)
+        service = shipped_service(serve_estimator)
+        try:
+            service.estimate_many_sql([seen, reseen])
+            before, counters_before = ladder_stats(service), ladder_counters()
+            request = [seen,              # estimate hit
+                       shifted(reseen),   # re-seen: parse + plan hit
+                       first,             # first-seen: every rung misses
+                       shifted(reseen),   # repeated within the request
+                       shifted(first)]    # first-seen template, repeated
+            got = service.estimate_many_sql(request)
+            after, counters_after = ladder_stats(service), ladder_counters()
+        finally:
+            service.close()
+        assert got == [reference(serve_estimator, sql) for sql in request]
+        delta = {rung: {outcome: after[rung][outcome] - before[rung][outcome]
+                        for outcome in ("hits", "misses")}
+                 for rung in after}
+        # Estimate cache: every statement probes the cache as it stood
+        # when the request began, so the in-request repeat misses too.
+        assert delta["estimate"] == {"hits": 1, "misses": 4}
+        # Parse and plan caches: a repeat of a statement (or shape) the
+        # request itself just parsed (or compiled) counts as a hit.
+        assert delta["parse"] == {"hits": 3, "misses": 1}
+        assert delta["plan"] == {"hits": 3, "misses": 1}
+        assert {rung: {outcome: counters_after[rung][outcome]
+                       - counters_before[rung][outcome]
+                       for outcome in ("hits", "misses")}
+                for rung in counters_after} == delta
+        assert (after["estimate"]["size"], after["parse"]["size"],
+                after["plan"]["size"]) == (5, 3, 3)
+
+    def test_statement_repeated_in_one_request(self, serve_estimator,
+                                               conjunctive_workload):
+        sql = conjunctive_workload.queries[0].to_sql()
+        service = shipped_service(serve_estimator)
+        try:
+            first = service.estimate_many_sql([sql] * 4)
+            again = service.estimate_many_sql([sql] * 4)
+            stats = ladder_stats(service)
+        finally:
+            service.close()
+        assert first == again == [reference(serve_estimator, sql)] * 4
+        assert stats["estimate"]["hits"] == 4
+        assert stats["estimate"]["misses"] == 4
+        assert stats["estimate"]["size"] == 1
+        # Parsed once; the three repeats re-bind its template.
+        assert stats["parse"]["misses"] == 1
+        assert stats["parse"]["hits"] == 3
+
+    def test_bad_statement_in_a_mixed_request_fails_only_it(
+            self, serve_estimator, conjunctive_workload):
+        seen, reseen, first = distinct_shapes(serve_estimator,
+                                              conjunctive_workload, 3)
+        bad = "SELECT count(*) FROM forest WHERE Ghost > 1"
+        mixed = [seen, shifted(reseen), first, bad]
+        service = shipped_service(serve_estimator)
+        outcomes: dict[str, object] = {}
+        start = threading.Barrier(2)
+
+        def fire(name: str, send) -> None:
+            start.wait()
+            try:
+                outcomes[name] = send()
+            except ServeClientError as exc:
+                outcomes[name] = exc
+
+        service.estimate_many_sql([seen, reseen])
+        with EstimationServer(service) as server, \
+                ServeClient(server.url) as batch_client, \
+                ServeClient(server.url) as single_client:
+            threads = [
+                threading.Thread(target=fire, args=(
+                    "mixed", lambda: batch_client.estimate_batch(mixed))),
+                threading.Thread(target=fire, args=(
+                    "single",
+                    lambda: single_client.estimate(
+                        shifted(seen))["estimate"])),
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            # The failed request cached no estimate for its good
+            # statements; the next request serves them.
+            good = batch_client.estimate_batch(mixed[:3])
+        assert isinstance(outcomes["mixed"], ServeClientError)
+        assert outcomes["mixed"].status == 400
+        assert "unknown attribute 'Ghost'" in str(outcomes["mixed"])
+        assert outcomes["single"] == reference(serve_estimator,
+                                               shifted(seen))
+        assert good == [reference(serve_estimator, sql)
+                        for sql in mixed[:3]]

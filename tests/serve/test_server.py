@@ -105,6 +105,22 @@ class TestErrorMapping:
         assert excinfo.value.status == 400
         assert "unknown attribute" in str(excinfo.value)
 
+    @pytest.mark.parametrize("path", ["/v1/estimate", "/v1/estimate_batch",
+                                      "/v1/feedback"])
+    def test_non_ascii_digits_are_400(self, running_server, path):
+        # ``A1 >= ١٢`` (Arabic-Indic digits) is a syntax error, not
+        # ``A1 >= 12``.
+        sql = "SELECT count(*) FROM forest WHERE A1 >= \u0661\u0662"
+        payload = {"/v1/estimate": {"sql": sql},
+                   "/v1/estimate_batch": {"sql": [sql]},
+                   "/v1/feedback": {"sql": sql,
+                                    "true_cardinality": 12}}[path]
+        client = ServeClient(running_server.url)
+        with pytest.raises(ServeClientError) as excinfo:
+            client._post(path, payload)
+        assert excinfo.value.status == 400
+        assert "unexpected character" in str(excinfo.value)
+
     def test_malformed_json_is_400(self, running_server):
         import urllib.request
 

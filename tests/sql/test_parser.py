@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sql.ast import And, Op, Or, SimplePredicate, UnsupportedQueryError
+from repro.sql import parser as parser_module
 from repro.sql.parser import (SqlSyntaxError, bind_template,
                               fingerprint_sql, make_template,
                               parse_query, parse_where)
@@ -264,3 +265,113 @@ class TestOnePassFingerprint:
     ])
     def test_matches_two_pass_on_edge_cases(self, sql):
         assert fingerprint_sql(sql) == _two_pass_fingerprint(sql)
+
+
+# The numeric-literal patterns before the ``(?=[-0-9])`` quick-reject
+# and ``re.ASCII`` were added: lookbehind first, Unicode ``\d``/``\w``.
+# Kept as the oracle of the current patterns on ASCII text.
+_LOOKBEHIND_SPLIT_RE = re.compile(r"((?<![\w.])-?\d+(?:\.\d+)?)")
+
+
+class TestQuickRejectPatterns:
+    """The quick-reject ASCII patterns against the lookbehind-first
+    ones, on ASCII statements: digits inside identifiers, ``t.col``,
+    negative numbers, decimals and digits inside quoted strings."""
+
+    @given(st.lists(st.tuples(_SQL_PIECES, st.sampled_from(["", " ", "  "])),
+                    max_size=30))
+    @settings(max_examples=500, deadline=None)
+    def test_split_and_literal_patterns_agree(self, pieces):
+        sql = "".join(piece + sep for piece, sep in pieces)
+        assert (parser_module._NUMBER_SPLIT_RE.split(sql)
+                == _LOOKBEHIND_SPLIT_RE.split(sql))
+        assert ([m.group(0) for m in parser_module._LITERAL_RE.finditer(sql)]
+                == [m.group(0) for m in _OLD_LITERAL_RE.finditer(sql)])
+
+    @given(st.text(alphabet="0123456789.-_aAt1' <>=(),", max_size=80))
+    @settings(max_examples=500, deadline=None)
+    def test_agree_on_character_soup(self, sql):
+        assert (parser_module._NUMBER_SPLIT_RE.split(sql)
+                == _LOOKBEHIND_SPLIT_RE.split(sql))
+        assert (parser_module._LITERAL_RE.sub("?", sql)
+                == _OLD_LITERAL_RE.sub("?", sql))
+
+
+#: Digits of other scripts: Arabic-Indic, fullwidth, Devanagari.
+_NON_ASCII_NUMERALS = ["\u0661\u0662", "\uff11\uff12", "\u0967\u0968"]
+
+
+class TestAsciiNumerals:
+    """Numerals are ASCII-only: ``\\d`` plus ``float()`` used to accept
+    other scripts' digits and serve ``A1 >= ١٢`` as ``A1 >= 12``."""
+
+    @pytest.mark.parametrize("digits", _NON_ASCII_NUMERALS)
+    def test_parser_rejects_non_ascii_digits(self, digits):
+        with pytest.raises(SqlSyntaxError, match="unexpected character"):
+            parse_query(f"SELECT count(*) FROM forest WHERE A1 >= {digits}")
+        with pytest.raises(SqlSyntaxError):
+            parse_where(f"A1 >= -{digits}")
+        with pytest.raises(SqlSyntaxError):
+            parse_where(f"A{digits} >= 5")
+
+    @pytest.mark.parametrize("digits", _NON_ASCII_NUMERALS)
+    def test_fingerprint_leaves_non_ascii_digits_unmasked(self, digits):
+        sql = f"SELECT count(*) FROM forest WHERE A1 >= {digits} AND A2 < 3"
+        key, literals = fingerprint_sql(sql)
+        assert literals == (3.0,)
+        assert digits in key
+        # The quoted-string form agrees.
+        key, literals = fingerprint_sql(sql + " AND name = 'x'")
+        assert literals == (3.0,)
+        assert digits in key
+
+    def test_ascii_numerals_still_parse(self):
+        query = parse_query("SELECT count(*) FROM forest WHERE A1 >= 12")
+        assert query.where == SimplePredicate("A1", Op.GE, 12.0)
+
+
+_IDENTIFIERS = st.one_of(
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True),
+    st.from_regex(r"t[0-9]?\.[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True),
+).filter(lambda name: name.lower() not in {
+    "select", "count", "from", "where", "group", "by", "and", "or", "like"})
+_NUMBERS = st.from_regex(r"-?[0-9]{1,5}(\.[0-9]{1,3})?", fullmatch=True)
+_SPACES = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def _statements(draw):
+    """Statements the parser accepts, with tight or loose spacing
+    around operators, digits in identifiers and in quoted strings."""
+    predicates = []
+    for _ in range(draw(st.integers(1, 6))):
+        attribute = draw(_IDENTIFIERS)
+        left, right = draw(_SPACES), draw(_SPACES)
+        if draw(st.booleans()):
+            op = draw(st.sampled_from(["<", "<=", "=", "<>", "!=", ">",
+                                       ">="]))
+            operand = draw(_NUMBERS)
+        else:
+            op = draw(st.sampled_from(["=", "<>"]))
+            operand = "'" + draw(st.from_regex(r"[a-z0-9 .-]{0,6}",
+                                               fullmatch=True)) + "'"
+        predicates.append(f"{attribute}{left}{op}{right}{operand}")
+    joined = predicates[0]
+    for predicate in predicates[1:]:
+        connective = draw(st.sampled_from([" AND ", " OR "]))
+        joined += connective + predicate
+    if draw(st.booleans()):
+        joined = f"({joined})"
+    return f"SELECT count(*) FROM t WHERE {joined}"
+
+
+class TestFingerprintAgreesWithTokenizer:
+    @given(_statements())
+    @settings(max_examples=500, deadline=None)
+    def test_literals_are_the_number_tokens(self, sql):
+        parse_query(sql)  # the generator only builds valid statements
+        _, literals = fingerprint_sql(sql)
+        numbers = tuple(float(token.text)
+                        for token in parser_module._tokenize(sql)
+                        if token.kind == "number")
+        assert literals == numbers
